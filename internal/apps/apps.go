@@ -9,8 +9,9 @@
 //
 //   - LinReg trains a linear model by conjugate gradient on the normal
 //     equations, matching the GML LinReg benchmark: each iteration costs
-//     one X·p and one Xᵀ·(X·p) against the dense DistBlockMatrix of
-//     training examples, plus a handful of duplicated-vector updates.
+//     one Xᵀ·(X·p) against the dense DistBlockMatrix of training
+//     examples — a single fused sweep over X (NormalMultVec) — plus a
+//     handful of duplicated-vector updates.
 //   - LogReg trains a binary classifier by gradient descent with a fixed
 //     step and per-iteration objective evaluation. The paper's LogReg (a
 //     SystemML-style trust-region solver) performs more finish-scoped
@@ -55,6 +56,22 @@ type RegressionData struct {
 	// Examples is the number of rows (N), Features the number of columns
 	// (D) of the design matrix.
 	Examples, Features int
+
+	// weights caches TrueWeight(j) for every feature; NewRegressionData
+	// fills it so Label does not rehash the planted model per example.
+	weights []float64
+}
+
+// NewRegressionData returns the generator for (seed, examples, features)
+// with the planted weights computed once. A RegressionData built as a
+// literal generates the same values, recomputing each weight on use.
+func NewRegressionData(seed uint64, examples, features int) RegressionData {
+	d := RegressionData{Seed: seed, Examples: examples, Features: features}
+	d.weights = make([]float64, features)
+	for j := range d.weights {
+		d.weights[j] = d.TrueWeight(j)
+	}
+	return d
 }
 
 // Feature returns design-matrix element (i, j).
@@ -72,12 +89,20 @@ func (d RegressionData) TrueWeight(j int) float64 {
 	return (s - 2) * 1.7320508075688772 // variance-normalized
 }
 
+// weight returns TrueWeight(j), from the cache when the generator has one.
+func (d RegressionData) weight(j int) float64 {
+	if j < len(d.weights) {
+		return d.weights[j]
+	}
+	return d.TrueWeight(j)
+}
+
 // Label returns the continuous regression target for example i:
 // x_i · w* plus small deterministic noise.
 func (d RegressionData) Label(i int) float64 {
 	var s float64
 	for j := 0; j < d.Features; j++ {
-		s += d.Feature(i, j) * d.TrueWeight(j)
+		s += d.Feature(i, j) * d.weight(j)
 	}
 	noise := uniform01(mix64(d.Seed^0x123457, i, -1)) - 0.5
 	return s + 0.01*noise

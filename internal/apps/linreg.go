@@ -65,8 +65,7 @@ type LinReg struct {
 	r *dist.DupVector       // CG residual (mutable)
 	p *dist.DupVector       // CG direction (mutable)
 
-	xp    *dist.DistVector // temporary: X·p
-	q     *dist.DupVector  // temporary: Xᵀ(X·p) + λp
+	q     *dist.DupVector // temporary: Xᵀ(X·p) + λp
 	rsOld float64
 }
 
@@ -76,7 +75,7 @@ func NewLinReg(rt *apgas.Runtime, cfg LinRegConfig, pg apgas.PlaceGroup) (*LinRe
 	cfg.setDefaults()
 	a := &LinReg{rt: rt, cfg: cfg, pg: pg.Clone()}
 	n, d := cfg.Examples, cfg.Features
-	data := RegressionData{Seed: cfg.Seed, Examples: n, Features: d}
+	data := NewRegressionData(cfg.Seed, n, d)
 	var err error
 	rowBlocks := cfg.RowBlocksPerPlace * pg.Size()
 	if a.x, err = dist.MakeDistBlockMatrix(rt, block.Dense, n, d, rowBlocks, 1, pg.Size(), 1, pg); err != nil {
@@ -99,9 +98,6 @@ func NewLinReg(rt *apgas.Runtime, cfg LinRegConfig, pg apgas.PlaceGroup) (*LinRe
 		// from, so it tolerates error-bounded lossy checkpoints; the
 		// read-only inputs X and y stay lossless under any policy.
 		(*dv).AllowLossyCheckpoint(true)
-	}
-	if a.xp, err = dist.MakeDistVector(rt, n, pg); err != nil {
-		return nil, err
 	}
 	// CG start: w = 0, r = Xᵀy (the initial residual), p = r.
 	if err = a.x.TransMultVec(a.y, a.r); err != nil {
@@ -131,10 +127,7 @@ func (a *LinReg) Iteration() int64 { return a.iter }
 // Step implements core.IterativeApp: one CG iteration.
 func (a *LinReg) Step() error {
 	// q = Xᵀ(X·p) + λp.
-	if err := a.x.MultVec(a.p, a.xp); err != nil {
-		return err
-	}
-	if err := a.x.TransMultVec(a.xp, a.q); err != nil {
+	if err := a.x.NormalMultVec(a.p, a.q); err != nil {
 		return err
 	}
 	lambda := a.cfg.Lambda
@@ -209,9 +202,6 @@ func (a *LinReg) Restore(newPG apgas.PlaceGroup, store *core.AppResilientStore, 
 		if err := dv.Remake(newPG); err != nil {
 			return err
 		}
-	}
-	if err := a.xp.Remake(newPG); err != nil {
-		return err
 	}
 	if err := store.Restore(); err != nil {
 		return err

@@ -24,7 +24,6 @@ type LinRegNonResilient struct {
 	r *dist.DupVector
 	p *dist.DupVector
 
-	xp    *dist.DistVector
 	q     *dist.DupVector
 	rsOld float64
 }
@@ -34,7 +33,7 @@ func NewLinRegNonResilient(rt *apgas.Runtime, cfg LinRegConfig, pg apgas.PlaceGr
 	cfg.setDefaults()
 	a := &LinRegNonResilient{rt: rt, cfg: cfg, pg: pg.Clone()}
 	n, d := cfg.Examples, cfg.Features
-	data := RegressionData{Seed: cfg.Seed, Examples: n, Features: d}
+	data := NewRegressionData(cfg.Seed, n, d)
 	var err error
 	rowBlocks := cfg.RowBlocksPerPlace * pg.Size()
 	if a.x, err = dist.MakeDistBlockMatrix(rt, block.Dense, n, d, rowBlocks, 1, pg.Size(), 1, pg); err != nil {
@@ -54,9 +53,6 @@ func NewLinRegNonResilient(rt *apgas.Runtime, cfg LinRegConfig, pg apgas.PlaceGr
 			return nil, err
 		}
 	}
-	if a.xp, err = dist.MakeDistVector(rt, n, pg); err != nil {
-		return nil, err
-	}
 	if err = a.x.TransMultVec(a.y, a.r); err != nil {
 		return nil, err
 	}
@@ -74,10 +70,7 @@ func (a *LinRegNonResilient) IsFinished() bool { return a.iter >= int64(a.cfg.It
 
 // Step performs one CG iteration (identical to the resilient Step).
 func (a *LinRegNonResilient) Step() error {
-	if err := a.x.MultVec(a.p, a.xp); err != nil {
-		return err
-	}
-	if err := a.x.TransMultVec(a.xp, a.q); err != nil {
+	if err := a.x.NormalMultVec(a.p, a.q); err != nil {
 		return err
 	}
 	lambda := a.cfg.Lambda

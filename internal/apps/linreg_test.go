@@ -177,3 +177,26 @@ func TestLinRegRecoveryRebalanceApprox(t *testing.T) {
 		t.Fatalf("rebalanced weights diverge: %v vs %v", got, want)
 	}
 }
+
+// TestRegressionLabelsMatchFormula: the cached planted weights change no
+// label bit — Label equals x_i·w* + noise recomputed term by term from
+// Feature and TrueWeight, for the constructed and the literal generator.
+func TestRegressionLabelsMatchFormula(t *testing.T) {
+	for _, sz := range [][2]int{{50, 1}, {200, 37}, {64, 64}} {
+		n, d := sz[0], sz[1]
+		built := NewRegressionData(11, n, d)
+		literal := RegressionData{Seed: 11, Examples: n, Features: d}
+		for i := 0; i < n; i++ {
+			var s float64
+			for j := 0; j < d; j++ {
+				s += literal.Feature(i, j) * literal.TrueWeight(j)
+			}
+			want := s + 0.01*(uniform01(mix64(11^0x123457, i, -1))-0.5)
+			for name, gen := range map[string]RegressionData{"built": built, "literal": literal} {
+				if got := gen.Label(i); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s %dx%d: Label(%d) = %v, formula %v", name, n, d, i, got, want)
+				}
+			}
+		}
+	}
+}

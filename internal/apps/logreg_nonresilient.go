@@ -33,7 +33,7 @@ func NewLogRegNonResilient(rt *apgas.Runtime, cfg LogRegConfig, pg apgas.PlaceGr
 	cfg.setDefaults()
 	a := &LogRegNonResilient{rt: rt, cfg: cfg, pg: pg.Clone()}
 	n, d := cfg.Examples, cfg.Features
-	data := RegressionData{Seed: cfg.Seed, Examples: n, Features: d}
+	data := NewRegressionData(cfg.Seed, n, d)
 	var err error
 	rowBlocks := cfg.RowBlocksPerPlace * pg.Size()
 	if a.x, err = dist.MakeDistBlockMatrix(rt, block.Dense, n, d, rowBlocks, 1, pg.Size(), 1, pg); err != nil {

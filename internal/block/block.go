@@ -180,6 +180,14 @@ func (b *MatrixBlock) TransMultVecAssign(x, dst la.Vector) {
 	}
 }
 
+// NormalMultVecAssign computes xp = B · x[Col0:Col0+Cols] and
+// dst = Bᵀ · xp in one sweep over a dense block (la
+// DenseMatrix.NormalMultVec), overwriting xp (length b.Rows) and dst
+// (length b.Cols). It panics on a sparse block; callers check the kind.
+func (b *MatrixBlock) NormalMultVecAssign(x, xp, dst la.Vector) {
+	b.Dense.NormalMultVec(x[b.Col0:b.Col0+b.Cols], xp, dst)
+}
+
 // Scale multiplies the block's payload by a.
 func (b *MatrixBlock) Scale(a float64) {
 	if b.Dense != nil {

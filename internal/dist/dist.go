@@ -40,6 +40,10 @@ var ErrGroupMismatch = errors.New("dist: objects distributed over different plac
 // dimensions.
 var ErrShapeMismatch = errors.New("dist: shape mismatch")
 
+// ErrUnsupportedLayout reports an operation asked of a matrix whose block
+// kind or block grid the operation does not implement.
+var ErrUnsupportedLayout = errors.New("dist: unsupported block layout")
+
 // encodeVector serializes a vector fragment for snapshot storage.
 func encodeVector(v la.Vector) []byte {
 	return codec.AppendFloat64s(make([]byte, 0, codec.SizeFloat64s(len(v))), v)

@@ -21,11 +21,11 @@ import (
 // Phase 1 fans each place's blocks across the intra-place kernel pool
 // (block partials are disjoint, so any interleaving yields the same
 // bits), and the per-block scratch vectors live in a place-local map
-// reused across calls. The map serves both collectives: MultVec partials
-// (length block-rows) sit under even keys, TransMultVec partials (length
-// block-cols) under odd keys, and the gathered-x buffer under xbufKey,
-// so the per-iteration MultVec/TransMultVec pair of the solvers never
-// reallocates.
+// reused across calls. The map serves all three collectives: MultVec
+// partials and NormalMultVec's M·p rows (length block-rows) sit under
+// even keys, TransMultVec and NormalMultVec partials (length block-cols)
+// under odd keys, and the gathered-x buffer under xbufKey, so the
+// per-iteration products of the solvers never reallocate.
 
 // rowPartKey returns block id's scratch key for M·x partials.
 func rowPartKey(id int) int { return 2 * id }
@@ -63,7 +63,7 @@ func (m *DistBlockMatrix) MultVec(x *DupVector, y *DistVector) error {
 				part[rowPartKey(id)] = la.NewVector(b.Rows)
 			}
 		})
-		if ctx.KernelDispatch() && m.multVecKernel(ctx, x, xloc, part, bs) {
+		if ctx.KernelDispatch() && m.blockKernel(ctx, multVecKernelName, x, xloc, bs, part, rowPartKey) {
 			return
 		}
 		bs.EachPar(func(id int, b *block.MatrixBlock) {
@@ -194,15 +194,86 @@ func (m *DistBlockMatrix) TransMultVec(x *DistVector, z *DupVector) error {
 		return err
 	}
 
-	// Phase 2a: binomial up-sweep. At stride s every group index divisible
-	// by 2s pulls the aggregated partial map of index+s; after ⌈log₂P⌉
-	// rounds the root holds every block's partial. Entries are only
-	// concatenated on the way up, so the arithmetic below stays in
-	// canonical block order.
+	return m.reduceColPartials(gath, z)
+}
+
+// NormalMultVec computes q = Mᵀ(M·p) with p and q duplicated over the
+// matrix's group: the normal-equations product of the LinReg CG step,
+// bitwise-equal to MultVec into a temporary followed by TransMultVec, but
+// with one sweep over each block (la DenseMatrix.NormalMultVec) and no
+// distributed temporary. Phase 1 runs the fused kernel per block, so
+// MultVec's combine phase and TransMultVec's x-row gather disappear: with
+// a single column block, each block's rows of M·p are exactly the rows
+// its Mᵀ partial needs. Phase 2 is TransMultVec's reduction. The
+// operation supports dense matrices with one column block (LinReg's
+// grid); anything else returns ErrUnsupportedLayout.
+func (m *DistBlockMatrix) NormalMultVec(p, q *DupVector) error {
+	if p.Size() != m.cols || q.Size() != m.cols {
+		return fmt.Errorf("dist: NormalMultVec (%dx%d)ᵀ(%dx%d)·%d -> %d: %w", m.rows, m.cols, m.rows, m.cols, p.Size(), q.Size(), ErrShapeMismatch)
+	}
+	if !sameGroups(m.pg, p.Group()) || !sameGroups(m.pg, q.Group()) {
+		return fmt.Errorf("dist: NormalMultVec: %w", ErrGroupMismatch)
+	}
+	if m.kind != block.Dense || m.g.ColBlocks != 1 {
+		return fmt.Errorf("dist: NormalMultVec on %s blocks in %d column blocks (want dense, 1): %w", m.kind, m.g.ColBlocks, ErrUnsupportedLayout)
+	}
+	q.MarkDirty()
+	scratch, err := m.scratchPartials()
+	if err != nil {
+		return err
+	}
+	gath, err := m.gatherScratch()
+	if err != nil {
+		return err
+	}
+
+	// Phase 1: per-block partials B_{rb,0}ᵀ(B_{rb,0}·p), fanned across the
+	// kernel pool with each block's M·p rows in its MultVec scratch slot.
+	// The place's gather map is seeded with the partials for phase 2.
+	err = apgas.ForEachPlace(m.rt, m.pg, func(ctx *apgas.Ctx, idx int) {
+		gm := gath.Local(ctx)
+		clear(gm)
+		bs := m.plh.Local(ctx)
+		ploc := p.Local(ctx)
+		part := scratch.Local(ctx)
+		bs.Each(func(id int, b *block.MatrixBlock) {
+			if len(part[colPartKey(id)]) != b.Cols {
+				part[colPartKey(id)] = la.NewVector(b.Cols)
+			}
+			gm[id] = part[colPartKey(id)]
+		})
+		if ctx.KernelDispatch() && m.blockKernel(ctx, normalMultVecKernelName, p, ploc, bs, part, colPartKey) {
+			return
+		}
+		bs.Each(func(id int, b *block.MatrixBlock) {
+			if len(part[rowPartKey(id)]) != b.Rows {
+				part[rowPartKey(id)] = la.NewVector(b.Rows)
+			}
+		})
+		bs.EachPar(func(id int, b *block.MatrixBlock) {
+			b.NormalMultVecAssign(ploc, part[rowPartKey(id)], part[colPartKey(id)])
+		})
+	})
+	if err != nil {
+		return err
+	}
+	return m.reduceColPartials(gath, q)
+}
+
+// reduceColPartials is phase 2 of TransMultVec and NormalMultVec: every
+// place's gather map holds the length-block-cols partials of the blocks
+// it owns; they climb to the group root, are reduced there in canonical
+// block order into z, and z is broadcast.
+func (m *DistBlockMatrix) reduceColPartials(gath apgas.PlaceLocalHandle[map[int]la.Vector], z *DupVector) error {
+	// Binomial up-sweep. At stride s every group index divisible by 2s
+	// pulls the aggregated partial map of index+s; after ⌈log₂P⌉ rounds
+	// the root holds every block's partial. Entries are only concatenated
+	// on the way up, so the arithmetic below stays in canonical block
+	// order.
 	p := m.pg.Size()
 	for stride := 1; stride < p; stride *= 2 {
 		st := stride
-		err = apgas.ForEachPlace(m.rt, m.pg, func(ctx *apgas.Ctx, idx int) {
+		err := apgas.ForEachPlace(m.rt, m.pg, func(ctx *apgas.Ctx, idx int) {
 			if idx%(2*st) != 0 || idx+st >= p {
 				return
 			}
@@ -229,10 +300,9 @@ func (m *DistBlockMatrix) TransMultVec(x *DistVector, z *DupVector) error {
 		}
 	}
 
-	// Phase 2b: canonical-order reduction at the group root, then
-	// broadcast.
+	// Canonical-order reduction at the group root, then broadcast.
 	g := m.g
-	err = m.rt.Finish(func(ctx *apgas.Ctx) {
+	err := m.rt.Finish(func(ctx *apgas.Ctx) {
 		ctx.At(m.pg[0], func(root *apgas.Ctx) {
 			dst := z.Local(root).Zero()
 			gm := gath.Local(root)

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"errors"
 	"fmt"
 
 	"github.com/rgml/rgml/internal/apgas"
@@ -18,86 +19,111 @@ import (
 // names to the same code.
 //
 // The kernels are pure functions of their task and store entries and use
-// the exact block arithmetic the closure path uses (MultVecAssign), so
-// results are bit-identical wherever they run; vectors cross the wire
-// through the exact float64 codec roundtrip.
+// the exact block arithmetic the closure path uses (MultVecAssign,
+// NormalMultVecAssign), so results are bit-identical wherever they run;
+// vectors cross the wire through the exact float64 codec roundtrip.
 
-// multVecKernelName is the per-place phase-1 body of MultVec: one
-// partial vector per owned block.
-const multVecKernelName = "dist.block.multvec"
+// The per-place phase-1 bodies of the block-fan collectives: one partial
+// vector per owned block. dist.block.multvec is MultVec's (B·x, length
+// block-rows); dist.block.normalmultvec is NormalMultVec's (Bᵀ(B·x),
+// length block-cols — a worker returns D doubles per block, not the
+// block's M·x rows).
+const (
+	multVecKernelName       = "dist.block.multvec"
+	normalMultVecKernelName = "dist.block.normalmultvec"
+)
 
 func init() {
-	apgas.RegisterKernel(multVecKernelName, multVecKernelBody)
+	apgas.RegisterKernel(multVecKernelName, blockFanBody(func(b *block.MatrixBlock, x la.Vector) (la.Vector, error) {
+		out := la.NewVector(b.Rows)
+		b.MultVecAssign(x, out)
+		return out, nil
+	}))
+	apgas.RegisterKernel(normalMultVecKernelName, blockFanBody(func(b *block.MatrixBlock, x la.Vector) (la.Vector, error) {
+		if b.Dense == nil {
+			return nil, fmt.Errorf("%s block: %w", b.Kind(), ErrUnsupportedLayout)
+		}
+		out := la.NewVector(b.Cols)
+		b.NormalMultVecAssign(x, la.NewVector(b.Rows), out)
+		return out, nil
+	}))
 }
 
-// multVecKernelBody computes B·x for every block ref of the task.
-// Refs[0] is the duplicated x; Refs[1:] are the place's blocks in
-// ascending block-ID order. The result carries one encoded partial per
-// block ref, in the same order. Blocks decode once per shipped version
-// (Entry.Obj caches the object); x decodes once per shipped version too,
-// which in the solvers means once per iteration.
-func multVecKernelBody(ex *kernel.Exec, t *kernel.Task) (*kernel.Result, error) {
-	if len(t.Refs) < 1 {
-		return nil, fmt.Errorf("dist: %s: missing x ref", t.Name)
-	}
-	xe, err := ex.Ref(t.Refs[0])
-	if err != nil {
-		return nil, err
-	}
-	xobj, err := xe.Obj(func(data []byte) (any, error) {
-		v, derr := decodeVector(data, nil)
-		if derr != nil {
-			return nil, derr
+// blockFanBody builds a registered kernel body that applies per to every
+// block ref of the task. Refs[0] is the duplicated x; Refs[1:] are the
+// place's blocks in ascending block-ID order. The result carries one
+// encoded partial per block ref, in the same order. Blocks decode once
+// per shipped version (Entry.Obj caches the object); x decodes once per
+// shipped version too, which in the solvers means once per iteration.
+func blockFanBody(per func(b *block.MatrixBlock, x la.Vector) (la.Vector, error)) kernel.Func {
+	return func(ex *kernel.Exec, t *kernel.Task) (*kernel.Result, error) {
+		if len(t.Refs) < 1 {
+			return nil, fmt.Errorf("dist: %s: missing x ref", t.Name)
 		}
-		return v, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	x := xobj.(la.Vector)
-
-	// Resolve and decode every block first (serial: Obj takes the entry
-	// lock), then fan the arithmetic across the intra-place kernel pool —
-	// partials are disjoint, so any interleaving yields the same bits.
-	blocks := make([]*block.MatrixBlock, len(t.Refs)-1)
-	for i, r := range t.Refs[1:] {
-		be, rerr := ex.Ref(r)
-		if rerr != nil {
-			return nil, rerr
+		xe, err := ex.Ref(t.Refs[0])
+		if err != nil {
+			return nil, err
 		}
-		obj, derr := be.Obj(func(data []byte) (any, error) { return block.Decode(data) })
-		if derr != nil {
-			return nil, derr
-		}
-		blocks[i] = obj.(*block.MatrixBlock)
-	}
-	frames := make([][]byte, len(blocks))
-	var failed error
-	par.For(len(blocks), 1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			b := blocks[i]
-			if len(x) < b.Col0+b.Cols {
-				failed = fmt.Errorf("dist: %s: x length %d short of block needing %d", t.Name, len(x), b.Col0+b.Cols)
-				return
+		xobj, err := xe.Obj(func(data []byte) (any, error) {
+			v, derr := decodeVector(data, nil)
+			if derr != nil {
+				return nil, derr
 			}
-			out := la.NewVector(b.Rows)
-			b.MultVecAssign(x, out)
-			frames[i] = encodeVector(out)
+			return v, nil
+		})
+		if err != nil {
+			return nil, err
 		}
-	})
-	if failed != nil {
-		return nil, failed
+		x := xobj.(la.Vector)
+
+		// Resolve and decode every block first (serial: Obj takes the
+		// entry lock), then fan the arithmetic across the intra-place
+		// kernel pool — partials are disjoint, so any interleaving yields
+		// the same bits.
+		blocks := make([]*block.MatrixBlock, len(t.Refs)-1)
+		for i, r := range t.Refs[1:] {
+			be, rerr := ex.Ref(r)
+			if rerr != nil {
+				return nil, rerr
+			}
+			obj, derr := be.Obj(func(data []byte) (any, error) { return block.Decode(data) })
+			if derr != nil {
+				return nil, derr
+			}
+			blocks[i] = obj.(*block.MatrixBlock)
+		}
+		frames := make([][]byte, len(blocks))
+		errs := make([]error, len(blocks))
+		par.For(len(blocks), 1, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				b := blocks[i]
+				if len(x) < b.Col0+b.Cols {
+					errs[i] = fmt.Errorf("dist: %s: x length %d short of block needing %d", t.Name, len(x), b.Col0+b.Cols)
+					continue
+				}
+				out, perr := per(b, x)
+				if perr != nil {
+					errs[i] = fmt.Errorf("dist: %s: %w", t.Name, perr)
+					continue
+				}
+				frames[i] = encodeVector(out)
+			}
+		})
+		if err := errors.Join(errs...); err != nil {
+			return nil, err
+		}
+		return &kernel.Result{Frames: frames}, nil
 	}
-	return &kernel.Result{Frames: frames}, nil
 }
 
-// multVecKernel runs MultVec's phase 1 for one place through the
-// registered-kernel data plane: ship x (once per version) and any blocks
-// the worker body does not hold yet, compute the partials there, and
-// decode them into the place's scratch map. Returns false on any failure
-// so the caller can fall back to the coordinator-resident block fan —
-// the kernel purity contract makes the two paths bit-identical.
-func (m *DistBlockMatrix) multVecKernel(ctx *apgas.Ctx, x *DupVector, xloc la.Vector, part map[int]la.Vector, bs *block.BlockSet) bool {
+// blockKernel runs phase 1 of a block-fan collective for one place
+// through the registered-kernel data plane: ship x (once per version) and
+// any blocks the worker body does not hold yet, run kernel name there,
+// and decode its per-block partials into the place's scratch map under
+// key(id). Returns false on any failure so the caller can fall back to
+// the coordinator-resident block fan — the kernel purity contract makes
+// the two paths bit-identical.
+func (m *DistBlockMatrix) blockKernel(ctx *apgas.Ctx, name string, x *DupVector, xloc la.Vector, bs *block.BlockSet, part map[int]la.Vector, key func(id int) int) bool {
 	if bs.Len() == 0 {
 		return true
 	}
@@ -118,16 +144,16 @@ func (m *DistBlockMatrix) multVecKernel(ctx *apgas.Ctx, x *DupVector, xloc la.Ve
 			Encode: b.Encode,
 		})
 	})
-	res, err := ctx.ExecKernel(&kernel.Task{Name: multVecKernelName}, inputs...)
+	res, err := ctx.ExecKernel(&kernel.Task{Name: name}, inputs...)
 	if err != nil || len(res.Frames) != len(ids) {
 		return false
 	}
 	for i, id := range ids {
 		v, err := decodeVector(res.Frames[i], nil)
-		if err != nil || len(v) != len(part[rowPartKey(id)]) {
+		if err != nil || len(v) != len(part[key(id)]) {
 			return false
 		}
-		copy(part[rowPartKey(id)], v)
+		copy(part[key(id)], v)
 	}
 	return true
 }

@@ -72,3 +72,36 @@ func BenchmarkKernelDistTransMultVec(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkKernelDistNormalMultVec times the fused q = Mᵀ(M·p) against
+// the MultVec + TransMultVec pair LinReg's CG step used before, on a
+// LinReg-shaped matrix (4 places × 25000 examples × 64 features, one row
+// block per place). Bytes are one pass over M for both.
+func BenchmarkKernelDistNormalMultVec(b *testing.B) {
+	const rows, cols, places = 100000, 64, 4
+	rt, m, p, xp := benchMatVec(b, rows, cols, places)
+	defer rt.Shutdown()
+	q, err := MakeDupVector(rt, cols, rt.World())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("fused", func(b *testing.B) {
+		b.SetBytes(8 * int64(rows*cols))
+		for i := 0; i < b.N; i++ {
+			if err := m.NormalMultVec(p, q); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("pair", func(b *testing.B) {
+		b.SetBytes(8 * int64(rows*cols))
+		for i := 0; i < b.N; i++ {
+			if err := m.MultVec(p, xp); err != nil {
+				b.Fatal(err)
+			}
+			if err := m.TransMultVec(xp, q); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

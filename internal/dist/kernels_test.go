@@ -16,12 +16,13 @@ import (
 // executes dispatched kernels against real per-place stores, exactly as a
 // tcp worker would, so the dist kernels can be driven end-to-end without
 // spawning processes. It records per-dispatch blob counts for the
-// ship-once assertions.
+// ship-once assertions, and the results for output-shape assertions.
 type execTransport struct {
 	mu      sync.Mutex
 	stores  map[int]*kernel.Store
 	tasks   []string
 	shipped []int
+	results []*kernel.Result
 }
 
 func (e *execTransport) Name() string                                { return "exec-fake" }
@@ -50,7 +51,33 @@ func (e *execTransport) Exec(t *kernel.Task) (*kernel.Result, error) {
 	}
 	e.tasks = append(e.tasks, t.Name)
 	e.shipped = append(e.shipped, len(t.Puts))
-	return kernel.Run(&kernel.Exec{Place: place, Store: st}, t), nil
+	res := kernel.Run(&kernel.Exec{Place: place, Store: st}, t)
+	e.results = append(e.results, res)
+	return res, nil
+}
+
+// frameLens returns, for every dispatch of kernel name, the decoded
+// length of each result frame.
+func (e *execTransport) frameLens(t *testing.T, name string) [][]int {
+	t.Helper()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	var out [][]int
+	for i, n := range e.tasks {
+		if n != name {
+			continue
+		}
+		var lens []int
+		for _, f := range e.results[i].Frames {
+			v, err := decodeVector(f, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lens = append(lens, len(v))
+		}
+		out = append(out, lens)
+	}
+	return out
 }
 
 func (e *execTransport) dispatches() (names []string, shipped []int) {
@@ -294,6 +321,51 @@ func TestMultVecKernelSurvivesExecFailure(t *testing.T) {
 		t.Fatalf("MultVec under dispatch failure: got %v want %v", got, want)
 	}
 	if rt.Stats().WorkerTasks != 0 {
+		t.Fatal("failing executor still counted worker tasks")
+	}
+}
+
+// TestNormalMultVecKernelWorkerPartials: over a data plane, NormalMultVec
+// phase 1 executes inside the worker bodies, each returning one
+// D-length partial per block (not the block's M·p rows), and the result
+// is bitwise-equal to the coordinator-resident paths — the closure path
+// of a backend without a data plane, and the kernel body re-run at the
+// coordinator after every dispatch fails.
+func TestNormalMultVecKernelWorkerPartials(t *testing.T) {
+	const rows, cols, rbpp, places = 403, 13, 2, 4
+	local, _ := normalPairOn(t, newRT(t, places), rows, cols, rbpp)
+
+	rtE, et := newExecRT(t, places)
+	dispatched, _ := normalPairOn(t, rtE, rows, cols, rbpp)
+	if !bitsEqualVec(local, dispatched) {
+		t.Fatalf("worker-executed NormalMultVec differs bitwise from the closure path:\n%v\n%v", dispatched, local)
+	}
+	lens := et.frameLens(t, normalMultVecKernelName)
+	// One dispatch per non-coordinator place.
+	if len(lens) != places-1 {
+		t.Fatalf("normal kernel dispatched %d times, want %d", len(lens), places-1)
+	}
+	for i, l := range lens {
+		if len(l) != rbpp {
+			t.Fatalf("dispatch %d returned %d frames, want one per block (%d)", i, len(l), rbpp)
+		}
+		for _, n := range l {
+			if n != cols {
+				t.Fatalf("dispatch %d returned a partial of length %d, want D = %d", i, n, cols)
+			}
+		}
+	}
+
+	rtF, err := apgas.New(apgas.WithPlaces(places), apgas.WithTransport(&failingExec{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rtF.Shutdown)
+	fallback, _ := normalPairOn(t, rtF, rows, cols, rbpp)
+	if !bitsEqualVec(local, fallback) {
+		t.Fatalf("coordinator fallback differs bitwise from the closure path:\n%v\n%v", fallback, local)
+	}
+	if rtF.Stats().WorkerTasks != 0 {
 		t.Fatal("failing executor still counted worker tasks")
 	}
 }

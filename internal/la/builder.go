@@ -25,7 +25,9 @@ func RandomDense(rows, cols int, rng *RNG) *DenseMatrix {
 // RandomSparseCSC returns a rows×cols CSC matrix where each column holds
 // nnzPerCol distinct uniformly placed nonzeros with uniform values.
 func RandomSparseCSC(rows, cols, nnzPerCol int, rng *RNG) *SparseCSC {
-	checkDim(nnzPerCol >= 0 && nnzPerCol <= rows, "RandomSparseCSC: nnzPerCol %d of %d rows", nnzPerCol, rows)
+	if !(nnzPerCol >= 0 && nnzPerCol <= rows) {
+		dimPanic("RandomSparseCSC: nnzPerCol %d of %d rows", nnzPerCol, rows)
+	}
 	ts := make([]Triplet, 0, cols*nnzPerCol)
 	seen := make(map[int]bool, nnzPerCol)
 	for j := 0; j < cols; j++ {
@@ -48,7 +50,9 @@ func RandomSparseCSC(rows, cols, nnzPerCol int, rng *RNG) *SparseCSC {
 // iterates on (P = αGP + (1-α)·E·uᵀP); the paper generated networks sized
 // as "2M edges per place".
 func LinkMatrix(n, outDegree int, rng *RNG) *SparseCSC {
-	checkDim(outDegree > 0 && outDegree <= n, "LinkMatrix: outDegree %d of %d nodes", outDegree, n)
+	if !(outDegree > 0 && outDegree <= n) {
+		dimPanic("LinkMatrix: outDegree %d of %d nodes", outDegree, n)
+	}
 	w := 1 / float64(outDegree)
 	ts := make([]Triplet, 0, n*outDegree)
 	seen := make(map[int]bool, outDegree)

@@ -18,26 +18,34 @@ type DenseMatrix struct {
 
 // NewDense returns a zeroed rows×cols dense matrix.
 func NewDense(rows, cols int) *DenseMatrix {
-	checkDim(rows >= 0 && cols >= 0, "NewDense(%d, %d): negative dimension", rows, cols)
+	if !(rows >= 0 && cols >= 0) {
+		dimPanic("NewDense(%d, %d): negative dimension", rows, cols)
+	}
 	return &DenseMatrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
 // NewDenseFrom wraps data (column-major) as a rows×cols matrix without
 // copying. len(data) must be rows*cols.
 func NewDenseFrom(rows, cols int, data []float64) *DenseMatrix {
-	checkDim(len(data) == rows*cols, "NewDenseFrom(%d, %d): data length %d", rows, cols, len(data))
+	if len(data) != rows*cols {
+		dimPanic("NewDenseFrom(%d, %d): data length %d", rows, cols, len(data))
+	}
 	return &DenseMatrix{Rows: rows, Cols: cols, Data: data}
 }
 
 // At returns element (i, j).
 func (m *DenseMatrix) At(i, j int) float64 {
-	checkDim(i >= 0 && i < m.Rows && j >= 0 && j < m.Cols, "At(%d, %d) out of %dx%d", i, j, m.Rows, m.Cols)
+	if !(i >= 0 && i < m.Rows && j >= 0 && j < m.Cols) {
+		dimPanic("At(%d, %d) out of %dx%d", i, j, m.Rows, m.Cols)
+	}
 	return m.Data[i+j*m.Rows]
 }
 
 // Set assigns element (i, j).
 func (m *DenseMatrix) Set(i, j int, v float64) {
-	checkDim(i >= 0 && i < m.Rows && j >= 0 && j < m.Cols, "Set(%d, %d) out of %dx%d", i, j, m.Rows, m.Cols)
+	if !(i >= 0 && i < m.Rows && j >= 0 && j < m.Cols) {
+		dimPanic("Set(%d, %d) out of %dx%d", i, j, m.Rows, m.Cols)
+	}
 	m.Data[i+j*m.Rows] = v
 }
 
@@ -71,7 +79,9 @@ func (m *DenseMatrix) Scale(a float64) *DenseMatrix {
 
 // CellAdd accumulates b into m element-wise.
 func (m *DenseMatrix) CellAdd(b *DenseMatrix) *DenseMatrix {
-	checkDim(m.Rows == b.Rows && m.Cols == b.Cols, "CellAdd: %dx%d += %dx%d", m.Rows, m.Cols, b.Rows, b.Cols)
+	if !(m.Rows == b.Rows && m.Cols == b.Cols) {
+		dimPanic("CellAdd: %dx%d += %dx%d", m.Rows, m.Cols, b.Rows, b.Cols)
+	}
 	par.For(len(m.Data), vecGrain, func(lo, hi int) {
 		dst, src := m.Data[lo:hi], b.Data[lo:hi]
 		for i := range dst {
@@ -91,37 +101,46 @@ func (m *DenseMatrix) CellAdd(b *DenseMatrix) *DenseMatrix {
 // its terms in ascending column order, grouped in fours — a fixed
 // structure, so results are bit-identical at every worker count.
 func (m *DenseMatrix) MultVec(x, y Vector) {
-	checkDim(len(x) == m.Cols, "MultVec: x len %d != cols %d", len(x), m.Cols)
-	checkDim(len(y) == m.Rows, "MultVec: y len %d != rows %d", len(y), m.Rows)
+	if len(x) != m.Cols {
+		dimPanic("MultVec: x len %d != cols %d", len(x), m.Cols)
+	}
+	if len(y) != m.Rows {
+		dimPanic("MultVec: y len %d != rows %d", len(y), m.Rows)
+	}
 	t0 := kstart()
-	rows, cols := m.Rows, m.Cols
-	par.For(rows, gemvRowGrain, func(lo, hi int) {
-		yc := y[lo:hi]
-		for i := range yc {
-			yc[i] = 0
-		}
-		j := 0
-		for ; j+4 <= cols; j += 4 {
-			c0 := m.Data[j*rows+lo : j*rows+hi]
-			c1 := m.Data[(j+1)*rows+lo : (j+1)*rows+hi]
-			c2 := m.Data[(j+2)*rows+lo : (j+2)*rows+hi]
-			c3 := m.Data[(j+3)*rows+lo : (j+3)*rows+hi]
-			x0, x1, x2, x3 := x[j], x[j+1], x[j+2], x[j+3]
-			c1, c2, c3 = c1[:len(c0)], c2[:len(c0)], c3[:len(c0)]
-			yc := yc[:len(c0)]
-			for i := range c0 {
-				yc[i] = yc[i] + c0[i]*x0 + c1[i]*x1 + c2[i]*x2 + c3[i]*x3
-			}
-		}
-		for ; j < cols; j++ {
-			xj := x[j]
-			col := m.Data[j*rows+lo : j*rows+hi]
-			for i, v := range col {
-				yc[i] += v * xj
-			}
-		}
-	})
+	par.For(m.Rows, gemvRowGrain, func(lo, hi int) { m.multVecRows(x, y, lo, hi) })
 	kdone(func(k *kinstr) *obs.Histogram { return k.gemv }, t0)
+}
+
+// multVecRows is the GEMV body shared by MultVec and NormalMultVec: it
+// overwrites y[lo:hi] with rows lo..hi-1 of m · x. Every row starts from
+// +0 and adds its terms in ascending column order, grouped in fours.
+func (m *DenseMatrix) multVecRows(x, y Vector, lo, hi int) {
+	rows, cols := m.Rows, m.Cols
+	yc := y[lo:hi]
+	for i := range yc {
+		yc[i] = 0
+	}
+	j := 0
+	for ; j+4 <= cols; j += 4 {
+		c0 := m.Data[j*rows+lo : j*rows+hi]
+		c1 := m.Data[(j+1)*rows+lo : (j+1)*rows+hi]
+		c2 := m.Data[(j+2)*rows+lo : (j+2)*rows+hi]
+		c3 := m.Data[(j+3)*rows+lo : (j+3)*rows+hi]
+		x0, x1, x2, x3 := x[j], x[j+1], x[j+2], x[j+3]
+		c1, c2, c3 = c1[:len(c0)], c2[:len(c0)], c3[:len(c0)]
+		yc := yc[:len(c0)]
+		for i := range c0 {
+			yc[i] = yc[i] + c0[i]*x0 + c1[i]*x1 + c2[i]*x2 + c3[i]*x3
+		}
+	}
+	for ; j < cols; j++ {
+		xj := x[j]
+		col := m.Data[j*rows+lo : j*rows+hi]
+		for i, v := range col {
+			yc[i] += v * xj
+		}
+	}
 }
 
 // TransMultVec computes y = mᵀ · x. y must have length m.Cols and is
@@ -129,8 +148,12 @@ func (m *DenseMatrix) MultVec(x, y Vector) {
 // each column is an independent 4-accumulator dot product (dot4), whose
 // fold order is fixed by the row count alone.
 func (m *DenseMatrix) TransMultVec(x, y Vector) {
-	checkDim(len(x) == m.Rows, "TransMultVec: x len %d != rows %d", len(x), m.Rows)
-	checkDim(len(y) == m.Cols, "TransMultVec: y len %d != cols %d", len(y), m.Cols)
+	if len(x) != m.Rows {
+		dimPanic("TransMultVec: x len %d != rows %d", len(x), m.Rows)
+	}
+	if len(y) != m.Cols {
+		dimPanic("TransMultVec: y len %d != cols %d", len(y), m.Cols)
+	}
 	t0 := kstart()
 	rows := m.Rows
 	par.For(m.Cols, tmvColGrain, func(lo, hi int) {
@@ -139,6 +162,100 @@ func (m *DenseMatrix) TransMultVec(x, y Vector) {
 		}
 	})
 	kdone(func(k *kinstr) *obs.Histogram { return k.tgemv }, t0)
+}
+
+// NormalMultVec computes xp = m · p and q = mᵀ · xp in one sweep over m
+// (the normal-equations product q = mᵀ(m·p) of CG). p and q must have
+// length m.Cols, xp length m.Rows; xp and q are overwritten. The results
+// are bitwise-equal to MultVec(p, xp) followed by TransMultVec(xp, q).
+//
+// The kernel walks m in row tiles small enough to stay in cache between
+// its two reads. For each tile it first computes xp[tile] with MultVec's
+// row body, then adds the tile into four accumulators per column that
+// carry across tiles — the s0..s3 of dot4. Every tile but the last has a
+// multiple of 4 rows, so row i always lands in accumulator i mod 4, the
+// rows past the last multiple of 4 land in s0, and the final
+// ((s0+s1)+s2)+s3 fold is dot4's: the same additions in the same order.
+// The accumulation takes two columns per pass — eight independent chains
+// sharing each xp load — which leaves every column's own sequence of
+// additions unchanged.
+//
+// The kernel is serial: its callers (the dist block fan) already run
+// blocks in parallel, and splitting each tile across the pool — rows for
+// m·p, whole columns for the accumulation — costs two pool barriers per
+// tile, which measured slower than the serial sweep.
+func (m *DenseMatrix) NormalMultVec(p, xp, q Vector) {
+	if len(p) != m.Cols {
+		dimPanic("NormalMultVec: p len %d != cols %d", len(p), m.Cols)
+	}
+	if len(xp) != m.Rows {
+		dimPanic("NormalMultVec: xp len %d != rows %d", len(xp), m.Rows)
+	}
+	if len(q) != m.Cols {
+		dimPanic("NormalMultVec: q len %d != cols %d", len(q), m.Cols)
+	}
+	t0 := kstart()
+	rows, cols := m.Rows, m.Cols
+	tile := normalTileRows(cols)
+	acc := make([]float64, 4*cols)
+	for lo := 0; lo < rows; lo += tile {
+		hi := min(lo+tile, rows)
+		m.multVecRows(p, xp, lo, hi)
+		x := xp[lo:hi]
+		n := len(x)
+		j := 0
+		for ; j+2 <= cols; j += 2 {
+			ca := m.Data[j*rows+lo : j*rows+hi][:n]
+			cb := m.Data[(j+1)*rows+lo : (j+1)*rows+hi][:n]
+			a := acc[4*j : 4*j+8 : 4*j+8]
+			a0, a1, a2, a3 := a[0], a[1], a[2], a[3]
+			b0, b1, b2, b3 := a[4], a[5], a[6], a[7]
+			i := 0
+			for ; i+4 <= n; i += 4 {
+				x0, x1, x2, x3 := x[i], x[i+1], x[i+2], x[i+3]
+				a0 += ca[i] * x0
+				a1 += ca[i+1] * x1
+				a2 += ca[i+2] * x2
+				a3 += ca[i+3] * x3
+				b0 += cb[i] * x0
+				b1 += cb[i+1] * x1
+				b2 += cb[i+2] * x2
+				b3 += cb[i+3] * x3
+			}
+			for ; i < n; i++ {
+				a0 += ca[i] * x[i]
+				b0 += cb[i] * x[i]
+			}
+			a[0], a[1], a[2], a[3] = a0, a1, a2, a3
+			a[4], a[5], a[6], a[7] = b0, b1, b2, b3
+		}
+		for ; j < cols; j++ {
+			col := m.Data[j*rows+lo : j*rows+hi][:n]
+			s0, s1, s2, s3 := acc[4*j], acc[4*j+1], acc[4*j+2], acc[4*j+3]
+			i := 0
+			for ; i+4 <= n; i += 4 {
+				s0 += col[i] * x[i]
+				s1 += col[i+1] * x[i+1]
+				s2 += col[i+2] * x[i+2]
+				s3 += col[i+3] * x[i+3]
+			}
+			for ; i < n; i++ {
+				s0 += col[i] * x[i]
+			}
+			acc[4*j], acc[4*j+1], acc[4*j+2], acc[4*j+3] = s0, s1, s2, s3
+		}
+	}
+	for j := range q {
+		q[j] = ((acc[4*j] + acc[4*j+1]) + acc[4*j+2]) + acc[4*j+3]
+	}
+	kdone(func(k *kinstr) *obs.Histogram { return k.normal }, t0)
+}
+
+// normalTileRows is NormalMultVec's tile height for a cols-wide matrix:
+// about normalTileBytes of m, but at least normalMinTileRows, rounded
+// down to a multiple of 4 rows (the fold-order requirement).
+func normalTileRows(cols int) int {
+	return max(normalMinTileRows, normalTileBytes/(8*max(cols, 1))) &^ 3
 }
 
 // Mult computes c = m · b (GEMM). c must be m.Rows × b.Cols and is
@@ -153,8 +270,12 @@ func (m *DenseMatrix) TransMultVec(x, y Vector) {
 // grouped in fours — fixed by the operand shapes, so any worker count
 // produces identical bits.
 func (m *DenseMatrix) Mult(b, c *DenseMatrix) {
-	checkDim(m.Cols == b.Rows, "Mult: inner dims %d != %d", m.Cols, b.Rows)
-	checkDim(c.Rows == m.Rows && c.Cols == b.Cols, "Mult: result %dx%d, want %dx%d", c.Rows, c.Cols, m.Rows, b.Cols)
+	if m.Cols != b.Rows {
+		dimPanic("Mult: inner dims %d != %d", m.Cols, b.Rows)
+	}
+	if !(c.Rows == m.Rows && c.Cols == b.Cols) {
+		dimPanic("Mult: result %dx%d, want %dx%d", c.Rows, c.Cols, m.Rows, b.Cols)
+	}
 	t0 := kstart()
 	rows, inner, brows := m.Rows, m.Cols, b.Rows
 	par.For(b.Cols, gemmColGrain, func(jlo, jhi int) {
@@ -241,8 +362,9 @@ func (m *DenseMatrix) Mult(b, c *DenseMatrix) {
 // matrix. It is the building block of the re-grid restore path (copying the
 // overlap of an old block into a new block).
 func (m *DenseMatrix) ExtractSub(r0, c0, rows, cols int) *DenseMatrix {
-	checkDim(r0 >= 0 && c0 >= 0 && r0+rows <= m.Rows && c0+cols <= m.Cols,
-		"ExtractSub(%d, %d, %d, %d) out of %dx%d", r0, c0, rows, cols, m.Rows, m.Cols)
+	if !(r0 >= 0 && c0 >= 0 && r0+rows <= m.Rows && c0+cols <= m.Cols) {
+		dimPanic("ExtractSub(%d, %d, %d, %d) out of %dx%d", r0, c0, rows, cols, m.Rows, m.Cols)
+	}
 	out := NewDense(rows, cols)
 	for j := 0; j < cols; j++ {
 		src := m.Data[r0+(c0+j)*m.Rows:]
@@ -253,8 +375,9 @@ func (m *DenseMatrix) ExtractSub(r0, c0, rows, cols int) *DenseMatrix {
 
 // PasteSub copies sub into m with its top-left corner at (r0, c0).
 func (m *DenseMatrix) PasteSub(r0, c0 int, sub *DenseMatrix) {
-	checkDim(r0 >= 0 && c0 >= 0 && r0+sub.Rows <= m.Rows && c0+sub.Cols <= m.Cols,
-		"PasteSub(%d, %d) of %dx%d into %dx%d", r0, c0, sub.Rows, sub.Cols, m.Rows, m.Cols)
+	if !(r0 >= 0 && c0 >= 0 && r0+sub.Rows <= m.Rows && c0+sub.Cols <= m.Cols) {
+		dimPanic("PasteSub(%d, %d) of %dx%d into %dx%d", r0, c0, sub.Rows, sub.Cols, m.Rows, m.Cols)
+	}
 	for j := 0; j < sub.Cols; j++ {
 		dst := m.Data[r0+(c0+j)*m.Rows:]
 		copy(dst[:sub.Rows], sub.Data[j*sub.Rows:(j+1)*sub.Rows])

@@ -29,6 +29,21 @@ func TestDenseAtSetColumnMajor(t *testing.T) {
 	}
 }
 
+// TestDenseAtSetNoAllocs: the per-element accessors box nothing on the
+// success path (indices above 255 would allocate if they were boxed).
+func TestDenseAtSetNoAllocs(t *testing.T) {
+	m := NewDense(300, 400)
+	var sink float64
+	allocs := testing.AllocsPerRun(100, func() {
+		m.Set(299, 399, 1.5)
+		sink += m.At(299, 399)
+	})
+	if allocs != 0 {
+		t.Fatalf("At/Set allocate %v times per call pair, want 0", allocs)
+	}
+	_ = sink
+}
+
 func TestDenseFromData(t *testing.T) {
 	m := NewDenseFrom(2, 2, []float64{1, 2, 3, 4})
 	if m.At(0, 0) != 1 || m.At(1, 0) != 2 || m.At(0, 1) != 3 || m.At(1, 1) != 4 {

@@ -20,9 +20,12 @@ import (
 // sparse columns: column j owns out[:, j], and the per-element order is
 // exactly the naive loop's.
 func AccumTransDenseSparse(a *DenseMatrix, s *SparseCSC, out *DenseMatrix) {
-	checkDim(a.Rows == s.Rows, "AccumTransDenseSparse: a rows %d != s rows %d", a.Rows, s.Rows)
-	checkDim(out.Rows == a.Cols && out.Cols == s.Cols,
-		"AccumTransDenseSparse: out %dx%d, want %dx%d", out.Rows, out.Cols, a.Cols, s.Cols)
+	if a.Rows != s.Rows {
+		dimPanic("AccumTransDenseSparse: a rows %d != s rows %d", a.Rows, s.Rows)
+	}
+	if !(out.Rows == a.Cols && out.Cols == s.Cols) {
+		dimPanic("AccumTransDenseSparse: out %dx%d, want %dx%d", out.Rows, out.Cols, a.Cols, s.Cols)
+	}
 	t0 := kstart()
 	k := a.Cols
 	par.For(s.Cols, spColGrain, func(jlo, jhi int) {
@@ -51,9 +54,12 @@ func AccumTransDenseSparse(a *DenseMatrix, s *SparseCSC, out *DenseMatrix) {
 // the kernel is bit-identical to the serial reference (and to the
 // pre-engine implementation).
 func AccumSparseMultDenseT(s *SparseCSC, h *DenseMatrix, out *DenseMatrix) {
-	checkDim(h.Cols == s.Cols, "AccumSparseMultDenseT: h cols %d != s cols %d", h.Cols, s.Cols)
-	checkDim(out.Rows == s.Rows && out.Cols == h.Rows,
-		"AccumSparseMultDenseT: out %dx%d, want %dx%d", out.Rows, out.Cols, s.Rows, h.Rows)
+	if h.Cols != s.Cols {
+		dimPanic("AccumSparseMultDenseT: h cols %d != s cols %d", h.Cols, s.Cols)
+	}
+	if !(out.Rows == s.Rows && out.Cols == h.Rows) {
+		dimPanic("AccumSparseMultDenseT: out %dx%d, want %dx%d", out.Rows, out.Cols, s.Rows, h.Rows)
+	}
 	t0 := kstart()
 	k := h.Rows
 	par.For(s.Rows, sdtRowGrain, func(lo, hi int) {
@@ -83,9 +89,12 @@ func AccumSparseMultDenseT(s *SparseCSC, h *DenseMatrix, out *DenseMatrix) {
 // Gram matrix AᵀA. Parallel over output columns; each entry is a dot4
 // product whose fold order is fixed by the row count.
 func AccumTransDenseDense(a, b *DenseMatrix, out *DenseMatrix) {
-	checkDim(a.Rows == b.Rows, "AccumTransDenseDense: a rows %d != b rows %d", a.Rows, b.Rows)
-	checkDim(out.Rows == a.Cols && out.Cols == b.Cols,
-		"AccumTransDenseDense: out %dx%d, want %dx%d", out.Rows, out.Cols, a.Cols, b.Cols)
+	if a.Rows != b.Rows {
+		dimPanic("AccumTransDenseDense: a rows %d != b rows %d", a.Rows, b.Rows)
+	}
+	if !(out.Rows == a.Cols && out.Cols == b.Cols) {
+		dimPanic("AccumTransDenseDense: out %dx%d, want %dx%d", out.Rows, out.Cols, a.Cols, b.Cols)
+	}
 	t0 := kstart()
 	par.For(b.Cols, gramColGrain, func(jlo, jhi int) {
 		for j := jlo; j < jhi; j++ {

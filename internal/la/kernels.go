@@ -23,6 +23,14 @@ const (
 	gemvRowGrain = 512
 	// tmvColGrain chunks TransMultVec output columns.
 	tmvColGrain = 16
+	// normalTileBytes sizes NormalMultVec's row tiles: a tile of m this
+	// large stays in L2 between the m·p and the mᵀ·xp sweep over it.
+	normalTileBytes = 512 << 10
+	// normalMinTileRows keeps NormalMultVec's tiles tall on wide
+	// matrices: shorter column runs defeat the prefetchers and pile the
+	// tile's columns, one row-count stride apart, into a few cache sets.
+	// It is a multiple of 4.
+	normalMinTileRows = 256
 	// gemmColGrain chunks Mult output columns. It is a multiple of 4 so
 	// the 4-wide register blocking stays globally aligned no matter how
 	// chunks are executed.
@@ -111,20 +119,21 @@ func SumSquares(xs []float64) float64 {
 // tile counters), resolved once per SetObs; hot paths pay one atomic
 // pointer load, and zero timing work when no registry is wired.
 type kinstr struct {
-	gemm  *obs.Histogram // la.kernel.gemm
-	gemv  *obs.Histogram // la.kernel.gemv
-	tgemv *obs.Histogram // la.kernel.tgemv
-	gram  *obs.Histogram // la.kernel.gram
-	tds   *obs.Histogram // la.kernel.accum_tds
-	sdt   *obs.Histogram // la.kernel.accum_sdt
-	tiles *obs.Counter   // la.gemm.tiles
+	gemm   *obs.Histogram // la.kernel.gemm
+	gemv   *obs.Histogram // la.kernel.gemv
+	tgemv  *obs.Histogram // la.kernel.tgemv
+	normal *obs.Histogram // la.kernel.normal
+	gram   *obs.Histogram // la.kernel.gram
+	tds    *obs.Histogram // la.kernel.accum_tds
+	sdt    *obs.Histogram // la.kernel.accum_sdt
+	tiles  *obs.Counter   // la.gemm.tiles
 }
 
 var kins atomic.Pointer[kinstr]
 
 // SetObs wires the kernel instrumentation into reg: one duration
-// histogram per hot kernel (la.kernel.gemm, .gemv, .tgemv, .gram,
-// .accum_tds, .accum_sdt) and the GEMM micro-tile counter
+// histogram per hot kernel (la.kernel.gemm, .gemv, .tgemv, .normal,
+// .gram, .accum_tds, .accum_sdt) and the GEMM micro-tile counter
 // (la.gemm.tiles). The kernels are package-level, so the last registry
 // wired wins; nil disables instrumentation.
 func SetObs(reg *obs.Registry) {
@@ -133,13 +142,14 @@ func SetObs(reg *obs.Registry) {
 		return
 	}
 	kins.Store(&kinstr{
-		gemm:  reg.Histogram("la.kernel.gemm"),
-		gemv:  reg.Histogram("la.kernel.gemv"),
-		tgemv: reg.Histogram("la.kernel.tgemv"),
-		gram:  reg.Histogram("la.kernel.gram"),
-		tds:   reg.Histogram("la.kernel.accum_tds"),
-		sdt:   reg.Histogram("la.kernel.accum_sdt"),
-		tiles: reg.Counter("la.gemm.tiles"),
+		gemm:   reg.Histogram("la.kernel.gemm"),
+		gemv:   reg.Histogram("la.kernel.gemv"),
+		tgemv:  reg.Histogram("la.kernel.tgemv"),
+		normal: reg.Histogram("la.kernel.normal"),
+		gram:   reg.Histogram("la.kernel.gram"),
+		tds:    reg.Histogram("la.kernel.accum_tds"),
+		sdt:    reg.Histogram("la.kernel.accum_sdt"),
+		tiles:  reg.Counter("la.gemm.tiles"),
 	})
 }
 

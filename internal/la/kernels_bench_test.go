@@ -113,3 +113,29 @@ func BenchmarkKernelDot(b *testing.B) {
 	}
 	_ = fmt.Sprint(sink)
 }
+
+// BenchmarkKernelNormalMultVec times the fused q = Aᵀ(A·p) against the
+// MultVec + TransMultVec pair it replaces, on a LinReg block (tall and
+// narrow) and on the square GEMV shape. Bytes are one pass over A for
+// both, so MB/s compares directly.
+func BenchmarkKernelNormalMultVec(b *testing.B) {
+	for _, sh := range []struct{ rows, cols int }{{50000, 64}, {2048, 2048}} {
+		rng := rand.New(rand.NewSource(7))
+		a := randDense(sh.rows, sh.cols, rng)
+		p := randVec(sh.cols, rng)
+		xp, q := NewVector(sh.rows), NewVector(sh.cols)
+		b.Run(fmt.Sprintf("%dx%d/fused", sh.rows, sh.cols), func(b *testing.B) {
+			b.SetBytes(8 * int64(sh.rows*sh.cols))
+			for i := 0; i < b.N; i++ {
+				a.NormalMultVec(p, xp, q)
+			}
+		})
+		b.Run(fmt.Sprintf("%dx%d/pair", sh.rows, sh.cols), func(b *testing.B) {
+			b.SetBytes(8 * int64(sh.rows*sh.cols))
+			for i := 0; i < b.N; i++ {
+				a.MultVec(p, xp)
+				a.TransMultVec(xp, q)
+			}
+		})
+	}
+}

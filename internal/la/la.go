@@ -22,11 +22,12 @@ package la
 
 import "fmt"
 
-// checkDim panics with a descriptive message when a dimension precondition
-// is violated. Dimension mismatches are programming errors, not runtime
-// conditions, so they panic rather than return errors (as in gonum and GML).
-func checkDim(ok bool, format string, args ...any) {
-	if !ok {
-		panic("la: " + fmt.Sprintf(format, args...))
-	}
+// dimPanic panics with a descriptive message for a violated dimension
+// precondition. Dimension mismatches are programming errors, not runtime
+// conditions, so they panic rather than return errors (as in gonum and
+// GML). Call sites test the condition themselves and call dimPanic only
+// on failure, so the format arguments are boxed only then — per-element
+// accessors like DenseMatrix.At and Set stay allocation-free.
+func dimPanic(format string, args ...any) {
+	panic("la: " + fmt.Sprintf(format, args...))
 }

@@ -27,7 +27,9 @@ func (r *RNG) Float64() float64 {
 
 // Intn returns a uniform value in [0, n). It panics if n <= 0.
 func (r *RNG) Intn(n int) int {
-	checkDim(n > 0, "Intn(%d)", n)
+	if n <= 0 {
+		dimPanic("Intn(%d)", n)
+	}
 	return int(r.Uint64() % uint64(n))
 }
 

@@ -1,8 +1,10 @@
 package la
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"github.com/rgml/rgml/internal/par"
@@ -28,24 +30,28 @@ type SparseCSC struct {
 
 // NewSparseCSC returns an empty rows×cols CSC matrix.
 func NewSparseCSC(rows, cols int) *SparseCSC {
-	checkDim(rows >= 0 && cols >= 0, "NewSparseCSC(%d, %d)", rows, cols)
+	if !(rows >= 0 && cols >= 0) {
+		dimPanic("NewSparseCSC(%d, %d)", rows, cols)
+	}
 	return &SparseCSC{Rows: rows, Cols: cols, ColPtr: make([]int, cols+1)}
 }
 
 // NewSparseCSCFromTriplets assembles a CSC matrix from coordinate entries.
-// Duplicate (row, col) entries are summed.
+// Duplicate (row, col) entries are summed in input order: the sort is
+// stable, so the first duplicate in ts is the leftmost term of the sum.
 func NewSparseCSCFromTriplets(rows, cols int, ts []Triplet) *SparseCSC {
 	for _, t := range ts {
-		checkDim(t.Row >= 0 && t.Row < rows && t.Col >= 0 && t.Col < cols,
-			"triplet (%d, %d) out of %dx%d", t.Row, t.Col, rows, cols)
+		if !(t.Row >= 0 && t.Row < rows && t.Col >= 0 && t.Col < cols) {
+			dimPanic("triplet (%d, %d) out of %dx%d", t.Row, t.Col, rows, cols)
+		}
 	}
 	sorted := make([]Triplet, len(ts))
 	copy(sorted, ts)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Col != sorted[j].Col {
-			return sorted[i].Col < sorted[j].Col
+	slices.SortStableFunc(sorted, func(a, b Triplet) int {
+		if c := cmp.Compare(a.Col, b.Col); c != 0 {
+			return c
 		}
-		return sorted[i].Row < sorted[j].Row
+		return cmp.Compare(a.Row, b.Row)
 	})
 	m := NewSparseCSC(rows, cols)
 	m.RowIdx = make([]int, 0, len(sorted))
@@ -76,7 +82,9 @@ func (m *SparseCSC) NNZ() int { return len(m.Vals) }
 
 // At returns element (i, j) (zero when not stored).
 func (m *SparseCSC) At(i, j int) float64 {
-	checkDim(i >= 0 && i < m.Rows && j >= 0 && j < m.Cols, "At(%d, %d) out of %dx%d", i, j, m.Rows, m.Cols)
+	if !(i >= 0 && i < m.Rows && j >= 0 && j < m.Cols) {
+		dimPanic("At(%d, %d) out of %dx%d", i, j, m.Rows, m.Cols)
+	}
 	lo, hi := m.ColPtr[j], m.ColPtr[j+1]
 	k := lo + sort.SearchInts(m.RowIdx[lo:hi], i)
 	if k < hi && m.RowIdx[k] == i {
@@ -103,8 +111,12 @@ func (m *SparseCSC) Clone() *SparseCSC {
 // own sub-range (the AccumSparseMultDenseT scheme), preserving the naive
 // loop's exact per-element accumulation order.
 func (m *SparseCSC) MultVec(x, y Vector) {
-	checkDim(len(x) == m.Cols, "MultVec: x len %d != cols %d", len(x), m.Cols)
-	checkDim(len(y) == m.Rows, "MultVec: y len %d != rows %d", len(y), m.Rows)
+	if len(x) != m.Cols {
+		dimPanic("MultVec: x len %d != cols %d", len(x), m.Cols)
+	}
+	if len(y) != m.Rows {
+		dimPanic("MultVec: y len %d != rows %d", len(y), m.Rows)
+	}
 	par.For(m.Rows, sdtRowGrain, func(lo, hi int) {
 		seg := y[lo:hi]
 		for i := range seg {
@@ -133,8 +145,12 @@ func (m *SparseCSC) MultVec(x, y Vector) {
 // Parallel over columns; each column keeps the naive single-accumulator
 // gather, so the result is bit-identical to the serial loop.
 func (m *SparseCSC) TransMultVec(x, y Vector) {
-	checkDim(len(x) == m.Rows, "TransMultVec: x len %d != rows %d", len(x), m.Rows)
-	checkDim(len(y) == m.Cols, "TransMultVec: y len %d != cols %d", len(y), m.Cols)
+	if len(x) != m.Rows {
+		dimPanic("TransMultVec: x len %d != rows %d", len(x), m.Rows)
+	}
+	if len(y) != m.Cols {
+		dimPanic("TransMultVec: y len %d != cols %d", len(y), m.Cols)
+	}
 	par.For(m.Cols, spColGrain, func(jlo, jhi int) {
 		for j := jlo; j < jhi; j++ {
 			var s float64
@@ -171,8 +187,9 @@ func (m *SparseCSC) ToDense() *DenseMatrix {
 // "the non-zero elements for the overlapping regions must be counted to
 // determine the space required for the new sparse block").
 func (m *SparseCSC) CountSubNNZ(r0, c0, rows, cols int) int {
-	checkDim(r0 >= 0 && c0 >= 0 && r0+rows <= m.Rows && c0+cols <= m.Cols,
-		"CountSubNNZ(%d, %d, %d, %d) out of %dx%d", r0, c0, rows, cols, m.Rows, m.Cols)
+	if !(r0 >= 0 && c0 >= 0 && r0+rows <= m.Rows && c0+cols <= m.Cols) {
+		dimPanic("CountSubNNZ(%d, %d, %d, %d) out of %dx%d", r0, c0, rows, cols, m.Rows, m.Cols)
+	}
 	n := 0
 	for j := c0; j < c0+cols; j++ {
 		lo, hi := m.ColPtr[j], m.ColPtr[j+1]
@@ -213,8 +230,9 @@ func (m *SparseCSC) ExtractSubPresized(r0, c0, rows, cols, nnz int) *SparseCSC {
 // rebuilding the receiver's storage. Existing entries inside the region are
 // replaced.
 func (m *SparseCSC) PasteSub(r0, c0 int, sub *SparseCSC) {
-	checkDim(r0 >= 0 && c0 >= 0 && r0+sub.Rows <= m.Rows && c0+sub.Cols <= m.Cols,
-		"PasteSub(%d, %d) of %dx%d into %dx%d", r0, c0, sub.Rows, sub.Cols, m.Rows, m.Cols)
+	if !(r0 >= 0 && c0 >= 0 && r0+sub.Rows <= m.Rows && c0+sub.Cols <= m.Cols) {
+		dimPanic("PasteSub(%d, %d) of %dx%d into %dx%d", r0, c0, sub.Rows, sub.Cols, m.Rows, m.Cols)
+	}
 	var ts []Triplet
 	for j := 0; j < m.Cols; j++ {
 		inCols := j >= c0 && j < c0+sub.Cols

@@ -18,7 +18,9 @@ type SparseCSR struct {
 
 // NewSparseCSR returns an empty rows×cols CSR matrix.
 func NewSparseCSR(rows, cols int) *SparseCSR {
-	checkDim(rows >= 0 && cols >= 0, "NewSparseCSR(%d, %d)", rows, cols)
+	if !(rows >= 0 && cols >= 0) {
+		dimPanic("NewSparseCSR(%d, %d)", rows, cols)
+	}
 	return &SparseCSR{Rows: rows, Cols: cols, RowPtr: make([]int, rows+1)}
 }
 
@@ -45,7 +47,9 @@ func (m *SparseCSR) NNZ() int { return len(m.Vals) }
 
 // At returns element (i, j) (zero when not stored).
 func (m *SparseCSR) At(i, j int) float64 {
-	checkDim(i >= 0 && i < m.Rows && j >= 0 && j < m.Cols, "At(%d, %d) out of %dx%d", i, j, m.Rows, m.Cols)
+	if !(i >= 0 && i < m.Rows && j >= 0 && j < m.Cols) {
+		dimPanic("At(%d, %d) out of %dx%d", i, j, m.Rows, m.Cols)
+	}
 	lo, hi := m.RowPtr[i], m.RowPtr[i+1]
 	k := lo + sort.SearchInts(m.ColIdx[lo:hi], j)
 	if k < hi && m.ColIdx[k] == j {
@@ -66,8 +70,12 @@ func (m *SparseCSR) Clone() *SparseCSR {
 
 // MultVec computes y = m · x. y has length m.Rows and is overwritten.
 func (m *SparseCSR) MultVec(x, y Vector) {
-	checkDim(len(x) == m.Cols, "MultVec: x len %d != cols %d", len(x), m.Cols)
-	checkDim(len(y) == m.Rows, "MultVec: y len %d != rows %d", len(y), m.Rows)
+	if len(x) != m.Cols {
+		dimPanic("MultVec: x len %d != cols %d", len(x), m.Cols)
+	}
+	if len(y) != m.Rows {
+		dimPanic("MultVec: y len %d != rows %d", len(y), m.Rows)
+	}
 	for i := 0; i < m.Rows; i++ {
 		var s float64
 		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
@@ -79,8 +87,12 @@ func (m *SparseCSR) MultVec(x, y Vector) {
 
 // TransMultVec computes y = mᵀ · x. y has length m.Cols and is overwritten.
 func (m *SparseCSR) TransMultVec(x, y Vector) {
-	checkDim(len(x) == m.Rows, "TransMultVec: x len %d != rows %d", len(x), m.Rows)
-	checkDim(len(y) == m.Cols, "TransMultVec: y len %d != cols %d", len(y), m.Cols)
+	if len(x) != m.Rows {
+		dimPanic("TransMultVec: x len %d != rows %d", len(x), m.Rows)
+	}
+	if len(y) != m.Cols {
+		dimPanic("TransMultVec: y len %d != cols %d", len(y), m.Cols)
+	}
 	y.Zero()
 	for i := 0; i < m.Rows; i++ {
 		xi := x[i]

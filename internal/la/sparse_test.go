@@ -2,6 +2,7 @@ package la
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -31,6 +32,38 @@ func TestCSCAssembly(t *testing.T) {
 	// Column 1 is empty: ColPtr must still be monotone.
 	if m.ColPtr[1] != 2 || m.ColPtr[2] != 2 {
 		t.Errorf("ColPtr = %v", m.ColPtr)
+	}
+}
+
+// TestCSCDuplicatesSumInInputOrder: duplicates of one (row, col) sum left
+// to right in the order they appear in the input, however many other
+// entries are interleaved. Floating-point addition is not associative, so
+// with values spread over many magnitudes any reordering of the
+// duplicates shows in the sum; the input is large enough that an
+// unstable sort would reorder them.
+func TestCSCDuplicatesSumInInputOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	var ts []Triplet
+	for k := 0; k < 2000; k++ {
+		if k%3 == 0 {
+			ts = append(ts, Triplet{Row: 1, Col: 0, Val: math.Ldexp(rng.Float64()-0.5, rng.Intn(60))})
+		} else {
+			ts = append(ts, Triplet{Row: rng.Intn(8), Col: rng.Intn(4), Val: rng.NormFloat64()})
+		}
+	}
+	m := NewSparseCSCFromTriplets(8, 4, ts)
+	for j := 0; j < 4; j++ {
+		for i := 0; i < 8; i++ {
+			var want float64
+			for _, tr := range ts {
+				if tr.Row == i && tr.Col == j {
+					want += tr.Val
+				}
+			}
+			if got := m.At(i, j); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("At(%d, %d) = %v, want %v (duplicates summed in input order)", i, j, got, want)
+			}
+		}
 	}
 }
 

@@ -26,7 +26,9 @@ func (v Vector) Clone() Vector {
 
 // CopyFrom overwrites v with src. Lengths must match.
 func (v Vector) CopyFrom(src Vector) Vector {
-	checkDim(len(v) == len(src), "CopyFrom: len %d != %d", len(v), len(src))
+	if len(v) != len(src) {
+		dimPanic("CopyFrom: len %d != %d", len(v), len(src))
+	}
 	copy(v, src)
 	return v
 }
@@ -69,7 +71,9 @@ func (v Vector) CellAdd(a float64) Vector {
 
 // Add accumulates w into v element-wise.
 func (v Vector) Add(w Vector) Vector {
-	checkDim(len(v) == len(w), "Add: len %d != %d", len(v), len(w))
+	if len(v) != len(w) {
+		dimPanic("Add: len %d != %d", len(v), len(w))
+	}
 	par.For(len(v), vecGrain, func(lo, hi int) {
 		dst, src := v[lo:hi], w[lo:hi]
 		for i := range dst {
@@ -81,7 +85,9 @@ func (v Vector) Add(w Vector) Vector {
 
 // Sub subtracts w from v element-wise.
 func (v Vector) Sub(w Vector) Vector {
-	checkDim(len(v) == len(w), "Sub: len %d != %d", len(v), len(w))
+	if len(v) != len(w) {
+		dimPanic("Sub: len %d != %d", len(v), len(w))
+	}
 	par.For(len(v), vecGrain, func(lo, hi int) {
 		dst, src := v[lo:hi], w[lo:hi]
 		for i := range dst {
@@ -93,7 +99,9 @@ func (v Vector) Sub(w Vector) Vector {
 
 // MulElem multiplies v by w element-wise.
 func (v Vector) MulElem(w Vector) Vector {
-	checkDim(len(v) == len(w), "MulElem: len %d != %d", len(v), len(w))
+	if len(v) != len(w) {
+		dimPanic("MulElem: len %d != %d", len(v), len(w))
+	}
 	par.For(len(v), vecGrain, func(lo, hi int) {
 		dst, src := v[lo:hi], w[lo:hi]
 		for i := range dst {
@@ -105,7 +113,9 @@ func (v Vector) MulElem(w Vector) Vector {
 
 // Axpy computes v += a*w.
 func (v Vector) Axpy(a float64, w Vector) Vector {
-	checkDim(len(v) == len(w), "Axpy: len %d != %d", len(v), len(w))
+	if len(v) != len(w) {
+		dimPanic("Axpy: len %d != %d", len(v), len(w))
+	}
 	par.For(len(v), vecGrain, func(lo, hi int) {
 		dst, src := v[lo:hi], w[lo:hi]
 		for i := range dst {
@@ -119,7 +129,9 @@ func (v Vector) Axpy(a float64, w Vector) Vector {
 // with four accumulators per chunk (dot4); both the chunk boundaries and
 // the unroll structure depend on the length only.
 func (v Vector) Dot(w Vector) float64 {
-	checkDim(len(v) == len(w), "Dot: len %d != %d", len(v), len(w))
+	if len(v) != len(w) {
+		dimPanic("Dot: len %d != %d", len(v), len(w))
+	}
 	return par.Reduce(len(v), dotGrain,
 		func(lo, hi int) float64 { return dot4(v[lo:hi], w[lo:hi]) },
 		func(a, b float64) float64 { return a + b })

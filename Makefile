@@ -72,15 +72,15 @@ race-store:
 # passes 1.23).
 race-transport:
 	$(GO) test -race -count=2 ./internal/apgas/transport/... ./internal/cliflags/
-	$(GO) test -race -count=2 -run 'Transport' ./internal/apgas/
+	$(GO) test -race -count=2 -run 'Transport|NetModelCharged|IntraPlaceHop' ./internal/apgas/
 	$(GO) test -race -count=2 -run 'CrossBackend|RealProcessKill' ./internal/bench/
 	GOEXPERIMENT=synctest GODEBUG=asynctimerchan=0 $(GO) test -race -run 'Synctest' ./internal/apgas/transport/
 
 # Extra -race iterations over the registered-kernel data plane: the
-# kernel registry/store, coordinator-side dispatch (mirror, fallback,
-# forced puts) racing kills, the tcp executor loop with a real worker
-# SIGKILLed mid-dispatch, and the dist kernels' ship-once and
-# bitwise-equality contracts.
+# kernel registry/store, coordinator-side dispatch (mirror, fallback to
+# the closure, forced puts) racing kills, the tcp executor loop with a
+# real worker SIGKILLed mid-dispatch, and the dist kernels' ship-once
+# and bitwise-equality contracts.
 race-dataplane:
 	$(GO) test -race -count=2 ./internal/apgas/kernel/
 	$(GO) test -race -count=2 -run 'KernelDispatch' ./internal/apgas/
@@ -110,10 +110,16 @@ chaos-smoke:
 # checkpoint, and finish; rgmlrun exits non-zero if no restore happened
 # or if no registered kernel executed inside a worker process
 # (-min-worker-tasks: the distributed data plane must actually engage,
-# not silently fall back to coordinator-resident execution).
+# not silently fall back to the closure bodies). The second run repeats
+# it over the erasure-coded store: shard writes, restore loads and
+# repair are declared-size accounting on every backend, and must recover
+# over tcp exactly as over local.
 tcp-smoke:
 	$(GO) run ./cmd/rgmlrun -transport tcp -app pagerank -places 4 \
 		-size 200 -iters 8 -ckpt 2 -kill-proc-iter 4 -min-worker-tasks 1 > /dev/null
+	$(GO) run ./cmd/rgmlrun -transport tcp -app pagerank -places 4 \
+		-size 200 -iters 8 -ckpt 2 -kill-proc-iter 4 -min-worker-tasks 1 \
+		-placement erasure -shards 2,1 > /dev/null
 	@echo "tcp-smoke: recovered from a real worker-process kill with worker-side compute"
 
 # The whole suite again with the kernel worker pool pinned to one worker:

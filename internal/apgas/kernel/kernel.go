@@ -220,26 +220,6 @@ func (s *Store) Get(handle uint64, key int64) (*Entry, bool) {
 	return e, ok
 }
 
-// Holds reports whether the store has (handle, key) at exactly ver.
-func (s *Store) Holds(handle uint64, key int64, ver uint64) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	e, ok := s.m[storeKey{handle, key}]
-	return ok && e.ver == ver
-}
-
-// Drop removes every entry under handle (the owning object was destroyed
-// or remade).
-func (s *Store) Drop(handle uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for k := range s.m {
-		if k.handle == handle {
-			delete(s.m, k)
-		}
-	}
-}
-
 // Len returns the number of installed entries.
 func (s *Store) Len() int {
 	s.mu.RLock()

@@ -1,6 +1,7 @@
 package apgas
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -10,20 +11,25 @@ import (
 
 // The registered-kernel data plane. Closures cannot cross process
 // boundaries, so task bodies that should execute inside a worker process
-// are expressed as registered kernels (internal/apgas/kernel): named pure
-// functions over a task descriptor and a per-place data store. A Ctx
-// dispatches them with ExecKernel; on a backend with a distributed data
-// plane (transport/tcp) the kernel runs inside the place's worker
-// process, and on any other backend — or whenever the remote side fails
-// mid-dispatch — it runs at the coordinator against an equivalent store,
-// which the kernel purity contract makes bit-identical.
+// are also expressed as registered kernels (internal/apgas/kernel): named
+// pure functions over a task descriptor and a per-place data store. Each
+// ported operation has exactly two bodies:
+//
+//   - the closure, which is the only body on a backend without a data
+//     plane, the fallback on one with it, and the bitwise reference the
+//     kernel tests compare against;
+//   - the registered kernel, which runs only inside a live worker body.
+//
+// A call site asks KernelDispatch whether the current place has a worker
+// body, tries ExecKernel if so, and runs its closure when that returns an
+// error. Place zero is the coordinator itself and never dispatches.
 //
 // ExecKernel deliberately performs NO hop/NetModel accounting: the call
-// sites that adopt it (dist.MultVec, DupVector.Sync, snapshot replica
-// puts) already charge their logical traffic exactly as the closure path
-// does, so apgas-level counters — and with them chaos fingerprints and
-// cross-backend NetModel invariance — are unchanged by where the kernel
-// physically ran. Only transport-level wire counters may differ.
+// sites that adopt it (dist.MultVec, DupVector.Sync) already charge their
+// logical traffic exactly as the closure path does, so apgas-level
+// counters — and with them chaos fingerprints and cross-backend NetModel
+// invariance — are unchanged by where the body physically ran. Only
+// transport-level wire counters may differ.
 
 // RegisterKernel registers a named kernel in the process-global registry
 // (see kernel.Register). Call it from package init so the re-exec'd
@@ -38,22 +44,20 @@ type mirrorKey struct {
 }
 
 // kernDispatch is the runtime's dispatch state: the transport's executor
-// capability (nil without a distributed data plane), a per-place mirror
-// of which entry versions have been shipped to each worker body (so an
-// unchanged matrix block crosses the wire once, not once per iteration),
-// and per-place coordinator-resident stores for fallback execution.
+// capability (nil without a distributed data plane) and a per-place
+// mirror of which entry versions have been shipped to each worker body
+// (so an unchanged matrix block crosses the wire once, not once per
+// iteration).
 type kernDispatch struct {
 	ex transport.Executor
 
 	mu     sync.Mutex
 	mirror map[int]map[mirrorKey]uint64
-	stores map[int]*kernel.Store
 }
 
 func (k *kernDispatch) init(ex transport.Executor) {
 	k.ex = ex
 	k.mirror = make(map[int]map[mirrorKey]uint64)
-	k.stores = make(map[int]*kernel.Store)
 }
 
 // shipped reports whether place's worker body is known to hold
@@ -84,48 +88,34 @@ func (k *kernDispatch) commit(place int, puts []kernel.Blob) {
 	}
 }
 
-// store returns place's coordinator-resident kernel store, creating it
-// on first use.
-func (k *kernDispatch) store(place int) *kernel.Store {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	s := k.stores[place]
-	if s == nil {
-		s = kernel.NewStore()
-		k.stores[place] = s
-	}
-	return s
-}
-
-// placeDead drops everything known about a dead place: its worker body's
-// cache is gone with the process, and the place's coordinator store dies
-// with the place exactly as its apgas store does.
+// placeDead forgets what a dead place's worker body held: its cache is
+// gone with the process.
 func (k *kernDispatch) placeDead(place int) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	delete(k.mirror, place)
-	delete(k.stores, place)
 }
 
-// KernelDispatch reports whether the runtime's backend executes
-// registered kernels inside worker processes. Call sites use it to keep
-// the plain-closure path — zero encode overhead, bit-identical by
-// construction — on backends without a data plane.
-func (c *Ctx) KernelDispatch() bool { return c.rt.kern.ex != nil }
+// KernelDispatch reports whether the task's place has a worker body to
+// run registered kernels in: the backend implements transport.Executor
+// and the place is not zero (the coordinator itself). Call sites run
+// their closure body when it is false.
+func (c *Ctx) KernelDispatch() bool { return c.rt.kern.ex != nil && c.Here.ID != 0 }
 
-// ExecKernel runs registered kernel task t at the task's current place,
-// resolving inputs into task refs and shipping only the blobs the
-// executing store does not already hold at the declared version. Puts
-// already present on t are unconditional installs: they ship (and apply)
-// regardless of what the mirror believes, which is how call sites push
-// content that changed under an unchanged version (DupVector.Sync
-// republishes the root value without bumping it). On a
-// data-plane backend the kernel runs inside the place's worker process;
-// on any other backend, or when the remote dispatch fails for any reason
-// (worker death, broken wire, kernel-level error), it re-executes at the
-// coordinator against an equivalent per-place store. The error return is
-// therefore rare: it means even coordinator-resident execution failed,
-// and callers should fall back to their closure path.
+// ExecKernel runs registered kernel task t inside the worker body of the
+// task's current place, resolving inputs into task refs and shipping
+// only the blobs the worker does not already hold at the declared
+// version. Puts already present on t are unconditional installs: they
+// ship (and apply) regardless of what the mirror believes, which is how
+// call sites push content that changed under an unchanged version
+// (DupVector.Sync republishes the root value without bumping it).
+//
+// It returns an error when the place has no worker body (KernelDispatch
+// is false), and when the remote dispatch fails for any reason — worker
+// death, broken wire, kernel-level error — which counts in
+// apgas.tasks.kernel_fallback. Either way the caller runs its closure
+// body, which the kernel purity contract makes bit-identical; the
+// failure detector handles a death independently.
 //
 // Like every Ctx operation it throws DeadPlaceError when the place has
 // died; unlike At/Transfer it charges no hops or bytes — its call sites
@@ -135,51 +125,29 @@ func (c *Ctx) ExecKernel(t *kernel.Task, inputs ...kernel.Input) (*kernel.Result
 	rt := c.rt
 	rt.placeState(c.Here).checkAlive()
 	place := c.Here.ID
+	if !c.KernelDispatch() {
+		return nil, fmt.Errorf("apgas: kernel %q: place %d has no worker body", t.Name, place)
+	}
+	k := &rt.kern
 	t.Place = int32(place)
 	t.Refs = make([]kernel.Ref, len(inputs))
 	for i, in := range inputs {
 		t.Refs[i] = kernel.Ref{Handle: in.Handle, Key: in.Key, Ver: in.Ver}
+		if !k.shipped(place, in.Handle, in.Key, in.Ver) {
+			t.Puts = append(t.Puts, kernel.Blob{Handle: in.Handle, Key: in.Key, Ver: in.Ver, Data: in.Encode()})
+		}
 	}
-	k := &rt.kern
-	forced := t.Puts
-
-	// Remote leg: place zero IS the coordinator, so only non-zero places
-	// have a worker body to dispatch into.
-	if k.ex != nil && place != 0 {
-		t.Puts = forced
-		for _, in := range inputs {
-			if !k.shipped(place, in.Handle, in.Key, in.Ver) {
-				t.Puts = append(t.Puts, kernel.Blob{Handle: in.Handle, Key: in.Key, Ver: in.Ver, Data: in.Encode()})
-			}
-		}
-		res, err := k.ex.Exec(t)
-		if err == nil && res != nil && res.Err == "" {
-			k.commit(place, t.Puts)
-			rt.stats.WorkerTasks.Add(1)
-			rt.instr.workerExec.Inc()
-			return res, nil
-		}
-		// Any remote failure — transport or kernel-level — degrades to
-		// coordinator execution. Kernels are pure, so the re-execution is
-		// equivalent; the detector handles the death independently.
+	res, err := k.ex.Exec(t)
+	if err == nil && res.Err != "" {
+		err = errors.New(res.Err)
+	}
+	if err != nil {
 		rt.instr.kernelFallback.Inc()
 		rt.cfg.Obs.Trace("apgas.kernel.fallback", int64(place), 0)
+		return nil, fmt.Errorf("apgas: kernel %q at place %d: %w", t.Name, place, err)
 	}
-
-	// Coordinator-resident leg. Forced puts are left on t for kernel.Run
-	// to apply; versioned inputs install directly when the store lacks
-	// them.
-	st := k.store(place)
-	t.Puts = forced
-	for _, in := range inputs {
-		if !st.Holds(in.Handle, in.Key, in.Ver) {
-			st.Put(in.Handle, in.Key, in.Ver, in.Encode())
-		}
-	}
-	res := kernel.Run(&kernel.Exec{Place: place, Store: st}, t)
-	if res.Err != "" {
-		return nil, fmt.Errorf("apgas: kernel %q at place %d: %s", t.Name, place, res.Err)
-	}
-	rt.instr.kernelLocal.Inc()
+	k.commit(place, t.Puts)
+	rt.stats.WorkerTasks.Add(1)
+	rt.instr.workerExec.Inc()
 	return res, nil
 }

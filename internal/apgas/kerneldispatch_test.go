@@ -2,6 +2,7 @@ package apgas_test
 
 import (
 	"errors"
+	"math"
 	"sync"
 	"testing"
 
@@ -40,9 +41,6 @@ type fakeExecutor struct {
 }
 
 func (f *fakeExecutor) Exec(t *kernel.Task) (*kernel.Result, error) {
-	if t == nil {
-		return nil, nil
-	}
 	f.emu.Lock()
 	defer f.emu.Unlock()
 	if f.failNext {
@@ -69,9 +67,10 @@ func (f *fakeExecutor) shipCounts() []int {
 }
 
 // TestKernelDispatchLocalBackend pins the no-data-plane path: the local
-// backend answers the probe with ErrNoDataPlane, so KernelDispatch
-// reports false and ExecKernel runs coordinator-resident — correct
-// results, kernel_local counted, worker_executed zero.
+// backend does not implement transport.Executor, so KernelDispatch
+// reports false at every place and ExecKernel refuses without running
+// anything — the call site's closure is the only body. Nothing counts as
+// a worker task or a fallback.
 func TestKernelDispatchLocalBackend(t *testing.T) {
 	reg := obs.NewRegistry()
 	rt, err := apgas.New(apgas.WithPlaces(3), apgas.WithObs(reg))
@@ -81,15 +80,16 @@ func TestKernelDispatchLocalBackend(t *testing.T) {
 	defer rt.Shutdown()
 
 	err = rt.Finish(func(ctx *apgas.Ctx) {
-		ctx.AsyncAt(rt.Place(1), func(c *apgas.Ctx) {
-			if c.KernelDispatch() {
-				t.Error("local backend claims a data plane")
-			}
-			res, err := c.ExecKernel(&kernel.Task{Name: "apgastest.sum", F64: []float64{1, 2, 3}})
-			if err != nil || res.F64[0] != 6 {
-				t.Errorf("ExecKernel = %+v, %v", res, err)
-			}
-		})
+		for _, p := range rt.World() {
+			ctx.AsyncAt(p, func(c *apgas.Ctx) {
+				if c.KernelDispatch() {
+					t.Errorf("local backend claims a data plane at place %d", c.Here.ID)
+				}
+				if res, err := c.ExecKernel(&kernel.Task{Name: "apgastest.sum", F64: []float64{1, 2, 3}}); err == nil {
+					t.Errorf("ExecKernel at place %d = %+v, want an error", c.Here.ID, res)
+				}
+			})
+		}
 	})
 	if err != nil {
 		t.Fatalf("Finish: %v", err)
@@ -97,11 +97,10 @@ func TestKernelDispatchLocalBackend(t *testing.T) {
 	if got := rt.Stats().WorkerTasks; got != 0 {
 		t.Fatalf("WorkerTasks = %d on local backend, want 0", got)
 	}
-	if got := reg.CounterValue("apgas.tasks.kernel_local"); got != 1 {
-		t.Fatalf("kernel_local = %d, want 1", got)
-	}
-	if got := reg.CounterValue("apgas.tasks.worker_executed"); got != 0 {
-		t.Fatalf("worker_executed = %d, want 0", got)
+	for _, name := range []string{"apgas.tasks.worker_executed", "apgas.tasks.kernel_fallback"} {
+		if got := reg.CounterValue(name); got != 0 {
+			t.Fatalf("%s = %d, want 0", name, got)
+		}
 	}
 }
 
@@ -159,9 +158,6 @@ func TestKernelDispatchRemoteAndMirror(t *testing.T) {
 	if got := reg.CounterValue("apgas.tasks.worker_executed"); got != 3 {
 		t.Fatalf("worker_executed = %d, want 3", got)
 	}
-	if got := reg.CounterValue("apgas.tasks.kernel_local"); got != 0 {
-		t.Fatalf("kernel_local = %d, want 0", got)
-	}
 }
 
 // TestKernelDispatchForcedPutsBypassMirror pins the Sync contract: puts
@@ -210,9 +206,20 @@ func TestKernelDispatchForcedPutsBypassMirror(t *testing.T) {
 	}
 }
 
-// TestKernelDispatchFallback injects a transport-level dispatch failure
-// and verifies ExecKernel degrades to coordinator-resident execution with
-// the same result — counted as a fallback, not a worker task.
+// sumClosure is the closure body of the apgastest.sum kernel, the way a
+// call site keeps one next to its registered kernel.
+func sumClosure(xs []float64) float64 {
+	var s float64
+	for _, v := range xs {
+		s += v
+	}
+	return s
+}
+
+// TestKernelDispatchFallback injects a transport-level dispatch failure:
+// ExecKernel returns an error, counted as a fallback and not as a worker
+// task, and the call site's closure produces output bitwise-equal to a
+// successful remote execution of the same task.
 func TestKernelDispatchFallback(t *testing.T) {
 	fe := &fakeExecutor{}
 	reg := obs.NewRegistry()
@@ -222,45 +229,61 @@ func TestKernelDispatchFallback(t *testing.T) {
 	}
 	defer rt.Shutdown()
 
-	fe.emu.Lock()
-	fe.failNext = true
-	fe.emu.Unlock()
+	in := []float64{0.1, 0.2, 0.3, 1e-17}
+	run := func(c *apgas.Ctx) (float64, bool) {
+		res, err := c.ExecKernel(&kernel.Task{Name: "apgastest.sum", F64: in})
+		if err != nil {
+			return sumClosure(in), false
+		}
+		return res.F64[0], true
+	}
+	var remote, fallback float64
+	var remoteOK, fallbackOK bool
 	err = rt.Finish(func(ctx *apgas.Ctx) {
-		ctx.AsyncAt(rt.Place(1), func(c *apgas.Ctx) {
-			res, err := c.ExecKernel(&kernel.Task{Name: "apgastest.sum", F64: []float64{2, 3}})
-			if err != nil || res.F64[0] != 5 {
-				t.Errorf("ExecKernel under failure = %+v, %v", res, err)
-			}
+		ctx.At(rt.Place(1), func(c *apgas.Ctx) {
+			remote, remoteOK = run(c)
+			fe.emu.Lock()
+			fe.failNext = true
+			fe.emu.Unlock()
+			fallback, fallbackOK = run(c)
 		})
 	})
 	if err != nil {
 		t.Fatalf("Finish: %v", err)
 	}
+	if !remoteOK || fallbackOK {
+		t.Fatalf("remote ran in worker = %v, fallback ran in worker = %v; want true, false", remoteOK, fallbackOK)
+	}
+	if math.Float64bits(remote) != math.Float64bits(fallback) {
+		t.Fatalf("closure fallback %v differs bitwise from the worker result %v", fallback, remote)
+	}
 	if got := reg.CounterValue("apgas.tasks.kernel_fallback"); got != 1 {
 		t.Fatalf("kernel_fallback = %d, want 1", got)
 	}
-	if got := reg.CounterValue("apgas.tasks.kernel_local"); got != 1 {
-		t.Fatalf("kernel_local = %d, want 1 (the fallback execution)", got)
-	}
-	if got := rt.Stats().WorkerTasks; got != 0 {
-		t.Fatalf("WorkerTasks = %d, want 0", got)
+	if got := rt.Stats().WorkerTasks; got != 1 {
+		t.Fatalf("WorkerTasks = %d, want 1 (the successful dispatch only)", got)
 	}
 }
 
 // TestKernelDispatchPlaceZeroStaysLocal verifies the coordinator's own
-// place never dispatches remotely — place zero IS the coordinator.
+// place never dispatches — place zero IS the coordinator — even on a
+// backend with a data plane: KernelDispatch is false there and
+// ExecKernel refuses without reaching the executor.
 func TestKernelDispatchPlaceZeroStaysLocal(t *testing.T) {
 	fe := &fakeExecutor{}
-	rt, err := apgas.New(apgas.WithPlaces(2), apgas.WithTransport(fe))
+	reg := obs.NewRegistry()
+	rt, err := apgas.New(apgas.WithPlaces(2), apgas.WithTransport(fe), apgas.WithObs(reg))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	defer rt.Shutdown()
 
 	err = rt.Finish(func(ctx *apgas.Ctx) {
-		res, err := ctx.ExecKernel(&kernel.Task{Name: "apgastest.sum", F64: []float64{4}})
-		if err != nil || res.F64[0] != 4 {
-			t.Errorf("ExecKernel at place 0 = %+v, %v", res, err)
+		if ctx.KernelDispatch() {
+			t.Error("place 0 claims a worker body")
+		}
+		if res, err := ctx.ExecKernel(&kernel.Task{Name: "apgastest.sum", F64: []float64{4}}); err == nil {
+			t.Errorf("ExecKernel at place 0 = %+v, want an error", res)
 		}
 	})
 	if err != nil {
@@ -271,5 +294,8 @@ func TestKernelDispatchPlaceZeroStaysLocal(t *testing.T) {
 	}
 	if got := rt.Stats().WorkerTasks; got != 0 {
 		t.Fatalf("WorkerTasks = %d, want 0", got)
+	}
+	if got := reg.CounterValue("apgas.tasks.kernel_fallback"); got != 0 {
+		t.Fatalf("kernel_fallback = %d, want 0 (no dispatch was attempted)", got)
 	}
 }

@@ -3,11 +3,13 @@ package apgas
 import "time"
 
 // NetModel charges simulated interconnect time for place-to-place traffic.
-// Intra-place operations are free. The model is deliberately simple — a
-// fixed per-message latency plus a per-byte transfer time — because the
-// paper's measured effects (resilient-finish bookkeeping traffic to place
-// zero, checkpoint data movement to the backup place) depend only on message
-// counts and payload volumes.
+// The runtime charges it for every place-crossing message on every
+// backend (see Runtime.charge); intra-place operations are free. The
+// model is deliberately simple — a fixed per-message latency plus a
+// per-byte transfer time — because the paper's measured effects
+// (resilient-finish bookkeeping traffic to place zero, checkpoint data
+// movement to the backup place) depend only on message counts and
+// payload volumes.
 //
 // The zero NetModel is a free network, which is what unit tests use.
 type NetModel struct {
@@ -21,15 +23,4 @@ type NetModel struct {
 // delay returns the simulated time for a message of the given payload size.
 func (n NetModel) delay(bytes int) time.Duration {
 	return n.Latency + time.Duration(bytes)*n.BytePeriod
-}
-
-// charge blocks the calling task for the cost of sending bytes from one
-// place to another. It is a no-op for a zero model or an intra-place move.
-func (n NetModel) charge(from, to Place, bytes int) {
-	if from.ID == to.ID {
-		return
-	}
-	if d := n.delay(bytes); d > 0 {
-		time.Sleep(d)
-	}
 }

@@ -8,9 +8,8 @@ import (
 	"github.com/rgml/rgml/internal/obs"
 )
 
-// Option configures a Runtime under construction. Options are the
-// preferred construction surface; the positional Config literal accepted
-// by NewRuntime remains as a compatibility shim.
+// Option configures a Runtime under construction; New applies them to a
+// Config.
 type Option func(*Config)
 
 // WithPlaces sets the number of places to create (at least 1).
@@ -118,7 +117,7 @@ func WithCompression(spec codec.Spec) Option {
 	}
 }
 
-// recordErr keeps the first option-validation failure for NewRuntime to
+// recordErr keeps the first option-validation failure for New to
 // surface.
 func (c *Config) recordErr(err error) {
 	if c.err == nil {
@@ -150,5 +149,5 @@ func New(opts ...Option) (*Runtime, error) {
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	return NewRuntime(cfg)
+	return newRuntime(cfg)
 }

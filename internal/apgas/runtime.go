@@ -26,7 +26,10 @@ type Config struct {
 	// plain local barriers and failure injection is rejected (matching
 	// non-resilient X10, where a crash takes the whole application down).
 	Resilient bool
-	// Net is the simulated interconnect. The zero value is a free network.
+	// Net is the simulated interconnect. The runtime charges it for every
+	// place-crossing message on every backend, tcp included: the modeled
+	// delay is slept and summed in apgas.net.simulated_ns. The zero value
+	// is a free network.
 	Net NetModel
 	// FinishMode selects the resilient-finish bookkeeping architecture:
 	// FinishCentral (the default) is the paper-faithful place-zero ledger;
@@ -70,12 +73,12 @@ type Config struct {
 	// deterministic chunking contract makes kernel results bit-identical
 	// at every worker count, so the knob only affects throughput.
 	KernelWorkers int
-	// Transport is the communication backend all place-crossing traffic
-	// and liveness information flows through. Nil selects the default
-	// in-process backend (transport/local) wired to Net's simulated
-	// delay, which is bit-identical to the pre-seam runtime. A non-nil
-	// backend (transport/tcp) owns place bodies: its failure detector
-	// feeds the same dead-place broadcast path used by injected kills.
+	// Transport is the communication backend all liveness information
+	// flows through. Nil selects the default in-process backend
+	// (transport/local). A non-nil backend (transport/tcp) owns place
+	// bodies: its failure detector feeds the same dead-place broadcast
+	// path used by injected kills, and a backend that implements
+	// transport.Executor runs registered kernels inside them.
 	Transport transport.Transport
 
 	// Compress selects the checkpoint compression policy applied by the
@@ -88,8 +91,7 @@ type Config struct {
 	Compress codec.Spec
 
 	// err carries the first validation failure recorded by a functional
-	// option at apply time (see options.go); NewRuntime surfaces it. The
-	// field is unexported so positional Config literals cannot set it.
+	// option at apply time (see options.go); New surfaces it.
 	err error
 }
 
@@ -105,7 +107,7 @@ type Runtime struct {
 	ledger *ledger        // non-nil iff cfg.Resilient && FinishCentral
 	shards *shardedLedger // non-nil iff cfg.Resilient && FinishSharded
 
-	// tp is the communication backend (never nil after NewRuntime): the
+	// tp is the communication backend (never nil after New): the
 	// in-process emulation by default, or a real multi-process transport.
 	tp transport.Transport
 
@@ -118,7 +120,7 @@ type Runtime struct {
 	nextFinish atomic.Uint64
 
 	// kern is the registered-kernel dispatch state (see kerneldispatch.go);
-	// kern.ex is non-nil iff the transport has a distributed data plane.
+	// kern.ex is non-nil iff the transport implements transport.Executor.
 	kern kernDispatch
 
 	stats Stats
@@ -126,14 +128,14 @@ type Runtime struct {
 }
 
 // rtInstr holds the runtime's observability handles, resolved once at
-// NewRuntime so hot paths update them with single atomic operations. With
+// New so hot paths update them with single atomic operations. With
 // no registry configured every handle is nil and each update is a no-op
 // branch (see internal/obs).
 type rtInstr struct {
 	tasks           *obs.Counter   // apgas.tasks.spawned
 	messages        *obs.Counter   // apgas.net.messages
 	bytes           *obs.Counter   // apgas.net.bytes
-	netTime         *obs.Counter   // apgas.net.simulated_ns
+	netTime         *obs.Counter   // apgas.net.simulated_ns (modeled NetModel time)
 	ledgerEvents    *obs.Counter   // apgas.ledger.events
 	ledgerQueueFull *obs.Counter   // apgas.ledger.queue_full
 	ledgerLocal     *obs.Counter   // apgas.ledger.local_fast
@@ -145,12 +147,11 @@ type rtInstr struct {
 	livePlaces      *obs.Gauge     // apgas.places.live
 	finishes        *obs.Histogram // apgas.finish.duration
 	workerExec      *obs.Counter   // apgas.tasks.worker_executed (kernels run in worker bodies)
-	kernelLocal     *obs.Counter   // apgas.tasks.kernel_local (kernels run coordinator-resident)
-	kernelFallback  *obs.Counter   // apgas.tasks.kernel_fallback (remote dispatches degraded)
+	kernelFallback  *obs.Counter   // apgas.tasks.kernel_fallback (failed remote dispatches)
 
-	// Per-class transport accounting: apgas.transport.<class>.messages and
-	// apgas.transport.<class>.bytes, indexed by transport.Class. The legacy
-	// aggregate counters above keep their exact pre-seam meaning.
+	// Per-class message accounting: apgas.transport.<class>.messages and
+	// apgas.transport.<class>.bytes, indexed by transport.Class. The
+	// aggregate counters above sum them.
 	classMsgs  [transport.NumClasses]*obs.Counter
 	classBytes [transport.NumClasses]*obs.Counter
 }
@@ -172,7 +173,6 @@ func newRTInstr(reg *obs.Registry) rtInstr {
 		livePlaces:      reg.Gauge("apgas.places.live"),
 		finishes:        reg.Histogram("apgas.finish.duration"),
 		workerExec:      reg.Counter("apgas.tasks.worker_executed"),
-		kernelLocal:     reg.Counter("apgas.tasks.kernel_local"),
 		kernelFallback:  reg.Counter("apgas.tasks.kernel_fallback"),
 	}
 	for c := 0; c < transport.NumClasses; c++ {
@@ -183,13 +183,9 @@ func newRTInstr(reg *obs.Registry) rtInstr {
 	return in
 }
 
-// NewRuntime creates a runtime with cfg.Places live places.
-//
-// Deprecated: this is a compatibility-only shim for external
-// positional-Config callers; nothing inside the repo uses it anymore.
-// Use New with functional options (WithPlaces, WithResilient,
-// WithTransport, …) — both constructors share the same validation.
-func NewRuntime(cfg Config) (*Runtime, error) {
+// newRuntime validates cfg and creates a runtime with cfg.Places live
+// places.
+func newRuntime(cfg Config) (*Runtime, error) {
 	if cfg.err != nil {
 		return nil, cfg.err
 	}
@@ -221,10 +217,7 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 	}
 	rt.tp = cfg.Transport
 	if rt.tp == nil {
-		// Default backend: the in-process emulation, wired to the NetModel
-		// so Send charges exactly what the pre-seam chargeNet did.
-		net := cfg.Net
-		rt.tp = local.New(local.WithDelay(net.delay))
+		rt.tp = local.New()
 	}
 	if err := rt.tp.Start(cfg.Places, transport.Handler{PlaceDead: rt.transportDeath}); err != nil {
 		if rt.ledger != nil {
@@ -235,15 +228,8 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		}
 		return nil, fmt.Errorf("apgas: transport %q start: %w", rt.tp.Name(), err)
 	}
-	// Probe the backend's distributed-data-plane capability: Exec(nil) is
-	// a pure capability check, answered (nil, nil) by a backend that
-	// dispatches kernels into worker bodies and ErrNoDataPlane otherwise.
-	var ex transport.Executor
-	if cand, ok := rt.tp.(transport.Executor); ok {
-		if _, err := cand.Exec(nil); err == nil {
-			ex = cand
-		}
-	}
+	// A backend has a data plane iff it implements transport.Executor.
+	ex, _ := rt.tp.(transport.Executor)
 	rt.kern.init(ex)
 	if cfg.KernelWorkers > 0 {
 		par.SetWorkers(cfg.KernelWorkers)
@@ -267,11 +253,10 @@ func (rt *Runtime) Transport() transport.Transport { return rt.tp }
 func (rt *Runtime) TransportName() string { return rt.tp.Name() }
 
 // hop records one place-crossing message of the given class and payload
-// size in the activity counters and moves it through the transport.
+// size in the activity counters and charges its modeled transfer time.
 // Intra-place moves are free and uncounted, matching the emulation's cost
-// model. payload, when non-nil, is the real bytes to carry (checkpoint
-// replica traffic); declared-size traffic leaves it nil.
-func (rt *Runtime) hop(from, to Place, class transport.Class, bytes int, payload []byte) {
+// model.
+func (rt *Runtime) hop(from, to Place, class transport.Class, bytes int) {
 	if from.ID == to.ID {
 		return
 	}
@@ -282,21 +267,21 @@ func (rt *Runtime) hop(from, to Place, class transport.Class, bytes int, payload
 		rt.instr.bytes.Add(int64(bytes))
 		rt.instr.classBytes[class].Add(int64(bytes))
 	}
-	rt.charge(from, to, class, bytes, payload)
+	rt.charge(from, to, bytes)
 }
 
-// charge moves a message through the transport, blocking for its transfer
-// time and accounting it, without counting a message (used for the return
-// leg of an "at", which the stats model treats as part of the same hop).
-func (rt *Runtime) charge(from, to Place, class transport.Class, bytes int, payload []byte) {
+// charge blocks the caller for the NetModel's delay of a message of the
+// given size and sums it in apgas.net.simulated_ns, without counting a
+// message (used directly for the return leg of an "at", which the stats
+// model treats as part of the same hop). The delay is modeled time on
+// every backend: tcp carries no frame for a runtime message, so there is
+// no wire time to measure.
+func (rt *Runtime) charge(from, to Place, bytes int) {
 	if from.ID == to.ID {
 		return
 	}
-	// Send errors are not task-visible faults: a failed send to a dying
-	// place is answered by the failure detector feeding transportDeath,
-	// after which the dead-place machinery takes over.
-	d, _ := rt.tp.Send(from.ID, to.ID, class, bytes, payload)
-	if d > 0 {
+	if d := rt.cfg.Net.delay(bytes); d > 0 {
+		time.Sleep(d)
 		rt.instr.netTime.Add(int64(d))
 	}
 }
@@ -551,27 +536,16 @@ func (c *Ctx) CheckAlive() {
 // around bulk data movement so the simulated interconnect sees realistic
 // volumes.
 func (c *Ctx) Transfer(to Place, bytes int) {
-	c.rt.hop(c.Here, to, transport.ClassData, bytes, nil)
+	c.rt.hop(c.Here, to, transport.ClassData, bytes)
 }
 
-// TransferBytes moves a real payload from the task's place to place to,
-// tagged as checkpoint redundancy traffic. The snapshot layer's replica
-// and erasure-shard writes use it so a distributed backend carries the
-// actual bytes while the local emulation charges their size exactly as
-// Transfer would.
-func (c *Ctx) TransferBytes(to Place, data []byte) {
-	c.rt.hop(c.Here, to, transport.ClassSnapshot, len(data), data)
-}
-
-// TransferSnapshot charges checkpoint redundancy traffic by declared
-// size without handing the transport a payload. The snapshot layer's
-// kernel-dispatch save path uses it when the replica bytes ride a kernel
-// task into the worker process instead of a data frame: the apgas-level
-// accounting (message count, bytes, snapshot class) stays exactly what
-// TransferBytes would have charged, so NetModel numbers are invariant to
-// which wire the payload physically took.
+// TransferSnapshot is Transfer for checkpoint redundancy traffic: the
+// snapshot layer's replica and erasure-shard writes, restore loads and
+// repairs declare their payload size here, counted under the snapshot
+// class. The bytes themselves stay in the runtime's per-place stores on
+// every backend.
 func (c *Ctx) TransferSnapshot(to Place, bytes int) {
-	c.rt.hop(c.Here, to, transport.ClassSnapshot, bytes, nil)
+	c.rt.hop(c.Here, to, transport.ClassSnapshot, bytes)
 }
 
 // At runs fn synchronously at place p, like X10's "at (p) S" executed from
@@ -581,7 +555,7 @@ func (c *Ctx) TransferSnapshot(to Place, bytes int) {
 func (c *Ctx) At(p Place, fn func(ctx *Ctx)) {
 	rt := c.rt
 	pl := rt.placeState(p)
-	rt.hop(c.Here, p, transport.ClassTask, 0, nil)
+	rt.hop(c.Here, p, transport.ClassTask, 0)
 	pl.checkAlive()
 	sub := &Ctx{rt: rt, Here: p, fin: c.fin}
 	// The sub-activity's buffered forks must reach the shard even if fn
@@ -589,7 +563,7 @@ func (c *Ctx) At(p Place, fn func(ctx *Ctx)) {
 	defer sub.flushForks()
 	fn(sub)
 	// Returning from "at" is itself a message back to the origin.
-	rt.charge(p, c.Here, transport.ClassTask, 0, nil)
+	rt.charge(p, c.Here, 0)
 	pl.checkAlive()
 }
 

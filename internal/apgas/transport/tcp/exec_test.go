@@ -9,6 +9,7 @@ import (
 	"github.com/rgml/rgml/internal/apgas"
 	"github.com/rgml/rgml/internal/apgas/kernel"
 	"github.com/rgml/rgml/internal/apgas/transport"
+	"github.com/rgml/rgml/internal/apgas/transport/local"
 	"github.com/rgml/rgml/internal/apgas/transport/tcp"
 )
 
@@ -36,17 +37,16 @@ func init() {
 	})
 }
 
-// TestExecProbe pins the capability handshake: a started tcp transport
-// answers the nil probe with (nil, nil) — it has a data plane.
+// TestExecProbe pins the capability rule: a backend has a data plane
+// iff it implements transport.Executor. tcp does; local does not.
 func TestExecProbe(t *testing.T) {
-	tr := tcp.New(fastHeartbeat())
-	if err := tr.Start(2, transport.Handler{}); err != nil {
-		t.Fatalf("Start: %v", err)
+	var tr transport.Transport = tcp.New()
+	if _, ok := tr.(transport.Executor); !ok {
+		t.Fatal("tcp backend does not implement transport.Executor")
 	}
-	defer tr.Close()
-	res, err := tr.Exec(nil)
-	if res != nil || err != nil {
-		t.Fatalf("Exec(nil) = %v, %v; want nil, nil", res, err)
+	tr = local.New()
+	if _, ok := tr.(transport.Executor); ok {
+		t.Fatal("local backend implements transport.Executor")
 	}
 }
 
@@ -173,12 +173,12 @@ func TestExecDuringRealDeath(t *testing.T) {
 	}
 }
 
-// TestSendAndExecRaceGrow grows the place set while hammering the new
-// places with Sends and Execs from many goroutines: messages racing the
-// hello handshake must fail cleanly (place not yet joined) or succeed,
-// and every new place must become fully operative — sendable and
-// executing kernels — with no spurious death reports.
-func TestSendAndExecRaceGrow(t *testing.T) {
+// TestExecRaceGrow grows the place set while hammering the new places
+// with Execs from many goroutines: dispatches racing the hello handshake
+// must fail cleanly (place not yet joined) or succeed, and every new
+// place must become operative — executing kernels — with no spurious
+// death reports.
+func TestExecRaceGrow(t *testing.T) {
 	tr := tcp.New(fastHeartbeat())
 	deaths := make(chan int, 8)
 	if err := tr.Start(2, transport.Handler{
@@ -203,11 +203,8 @@ func TestSendAndExecRaceGrow(t *testing.T) {
 						t.Errorf("grown place %d never became operative", place)
 						return
 					}
-					// Both planes must come up; errors before the join are
-					// fine, hangs and panics are not.
-					if _, err := tr.Send(0, place, transport.ClassTask, 8, nil); err != nil {
-						continue
-					}
+					// Errors before the join are fine, hangs and panics
+					// are not.
 					res, err := tr.Exec(&kernel.Task{Name: "tcptest.sum", Place: int32(place), I64: []int64{int64(place)}})
 					if err == nil && res.Err == "" && len(res.F64) == 1 && res.F64[0] == float64(place) {
 						return

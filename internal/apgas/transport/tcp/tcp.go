@@ -18,11 +18,11 @@
 // its per-place blob store, and a RESULT frame carries the answer back.
 // Operand blobs cross once per version (the coordinator mirrors what
 // each worker holds); any dispatch failure — unregistered kernel, dead
-// worker, mid-flight connection loss — falls back silently to
-// coordinator-resident execution, which is bit-identical because
+// worker, mid-flight connection loss — falls back to the operation's
+// closure body at the coordinator, which is bit-identical because
 // kernels are pure. Closure-based tasks that never registered a kernel
-// still execute at the coordinator with a footprint-only DATA frame on
-// the wire. DESIGN.md §14 spells out this boundary.
+// execute at the coordinator and put nothing on the wire: the runtime
+// accounts their messages itself. DESIGN.md §14 spells out this boundary.
 //
 // The workers also provide the real failure domain: a worker process
 // dying (killed, crashed, unplugged) is a genuine fail-stop detected by
@@ -109,7 +109,6 @@ type worker struct {
 type tcpInstr struct {
 	frames        *obs.Counter // transport.tcp.frames
 	wireBytes     *obs.Counter // transport.tcp.wire_bytes (real footprint: prefix + gob body)
-	logicalBytes  *obs.Counter // transport.tcp.logical_bytes (declared size, NetModel-comparable)
 	heartbeats    *obs.Counter // transport.tcp.heartbeats
 	deaths        *obs.Counter // transport.tcp.deaths
 	tasks         *obs.Counter // transport.tcp.tasks (kernel dispatches put on a wire)
@@ -204,7 +203,6 @@ func (t *Transport) Start(places int, h transport.Handler) error {
 	t.instr = tcpInstr{
 		frames:        t.reg.Counter("transport.tcp.frames"),
 		wireBytes:     t.reg.Counter("transport.tcp.wire_bytes"),
-		logicalBytes:  t.reg.Counter("transport.tcp.logical_bytes"),
 		heartbeats:    t.reg.Counter("transport.tcp.heartbeats"),
 		deaths:        t.reg.Counter("transport.tcp.deaths"),
 		tasks:         t.reg.Counter("transport.tcp.tasks"),
@@ -471,67 +469,10 @@ func (t *Transport) placeDead(place int, cause transport.DeathCause) {
 	}
 }
 
-// Send implements transport.Transport. With the data plane
-// coordinator-resident, every logical hop between places a and b is
-// realized as one frame on the wire of the non-coordinator endpoint
-// (a↔0 traffic rides a's own wire; a↔b traffic rides b's), so wire
-// volume tracks the logical traffic a fully distributed backend would
-// carry. Sends are fire-and-forget: TCP's per-connection FIFO provides
-// the ordering guarantee for control messages, and delivery to a dying
-// place is reported by the failure detector, not the send path.
-func (t *Transport) Send(from, to int, class transport.Class, size int, payload []byte) (time.Duration, error) {
-	if from == to {
-		return 0, nil
-	}
-	ep := to
-	if ep == 0 {
-		ep = from
-	}
-	t.mu.Lock()
-	closed := t.closed
-	var fc *frameConn
-	if w := t.workers[ep]; w != nil {
-		fc = w.fc
-	}
-	t.mu.Unlock()
-	if closed {
-		return 0, errors.New("tcp: transport closed")
-	}
-	if fc == nil || t.detector.Dead(ep) {
-		return 0, fmt.Errorf("tcp: place %d has no live body", ep)
-	}
-	start := time.Now()
-	f := frame{
-		Type:    fData,
-		From:    int32(from),
-		To:      int32(to),
-		Class:   uint8(class),
-		Size:    int64(size),
-		Payload: payload,
-	}
-	n, err := fc.write(&f)
-	if err != nil {
-		t.connLost(ep)
-		return 0, fmt.Errorf("tcp: send to place %d: %w", ep, err)
-	}
-	t.instr.frames.Inc()
-	// wireBytes is the frame's real footprint (prefix + gob body, which
-	// also carries From/To/Class/Size and any payload) as reported by
-	// write; the declared logical size — what the NetModel accounts —
-	// lands in its own counter so the two stay comparable but distinct.
-	t.instr.wireBytes.Add(int64(n))
-	t.instr.logicalBytes.Add(int64(4 + size))
-	return time.Since(start), nil
-}
-
 // Exec implements transport.Executor: ship t to the worker process
 // embodying t.Place as an fTask frame and block until its fResult (or
-// the place's death) resolves it. Exec(nil) is the runtime's capability
-// probe and succeeds without touching any wire.
+// the place's death) resolves it.
 func (t *Transport) Exec(task *kernel.Task) (*kernel.Result, error) {
-	if task == nil {
-		return nil, nil
-	}
 	place := int(task.Place)
 	t.mu.Lock()
 	closed := t.closed
@@ -637,7 +578,7 @@ func (t *Transport) Grow(n int) error {
 	// The runtime's view of the place is live immediately, matching the
 	// local backend; a worker that never manages to join is eventually
 	// reported dead by the detector once its handshake lands — or stays
-	// unwatched, in which case Sends to it fail loudly.
+	// unwatched, in which case Execs to it fail loudly.
 	return nil
 }
 

@@ -8,8 +8,10 @@ import (
 	"time"
 
 	"github.com/rgml/rgml/internal/apgas"
+	"github.com/rgml/rgml/internal/apgas/kernel"
 	"github.com/rgml/rgml/internal/apgas/transport"
 	"github.com/rgml/rgml/internal/apgas/transport/tcp"
+	"github.com/rgml/rgml/internal/obs"
 )
 
 // TestMain routes self-spawned invocations of this test binary into the
@@ -31,7 +33,23 @@ func fastHeartbeat() tcp.Option {
 	return tcp.WithHeartbeat(10*time.Millisecond, 2*time.Second)
 }
 
-func TestStartSendClose(t *testing.T) {
+// put dispatches the built-in kernel.put task to place p's worker: the
+// cheapest round trip that proves the place's body is live and serving.
+func put(tr *tcp.Transport, p int) error {
+	res, err := tr.Exec(&kernel.Task{
+		Name: kernel.PutName, Place: int32(p),
+		Puts: []kernel.Blob{{Handle: 1, Key: int64(p), Ver: 1, Data: []byte("live")}},
+	})
+	if err != nil {
+		return err
+	}
+	if res.Err != "" {
+		return errors.New(res.Err)
+	}
+	return nil
+}
+
+func TestStartExecClose(t *testing.T) {
 	tr := tcp.New(fastHeartbeat())
 	deaths := make(chan int, 8)
 	err := tr.Start(4, transport.Handler{
@@ -45,22 +63,15 @@ func TestStartSendClose(t *testing.T) {
 	if tr.Name() != "tcp" {
 		t.Fatalf("Name() = %q", tr.Name())
 	}
-	// Declared-size traffic to every worker, and the return direction.
+	// Every worker serves a kernel round trip.
 	for p := 1; p < 4; p++ {
-		if _, err := tr.Send(0, p, transport.ClassTask, 0, nil); err != nil {
-			t.Fatalf("Send(0->%d): %v", p, err)
-		}
-		if _, err := tr.Send(p, 0, transport.ClassControl, 64, nil); err != nil {
-			t.Fatalf("Send(%d->0): %v", p, err)
+		if err := put(tr, p); err != nil {
+			t.Fatalf("put at place %d: %v", p, err)
 		}
 	}
-	// Worker-to-worker traffic rides the non-coordinator endpoint's wire.
-	if _, err := tr.Send(1, 2, transport.ClassSnapshot, 5, []byte("hello")); err != nil {
-		t.Fatalf("Send(1->2): %v", err)
-	}
-	// Intra-place is free.
-	if d, err := tr.Send(2, 2, transport.ClassData, 1<<20, nil); err != nil || d != 0 {
-		t.Fatalf("Send(2->2) = %v, %v; want 0, nil", d, err)
+	// Place 0 is the coordinator: it has no worker to dispatch into.
+	if err := put(tr, 0); err == nil {
+		t.Fatal("Exec at place 0 succeeded; want error")
 	}
 	select {
 	case p := <-deaths:
@@ -89,12 +100,12 @@ func TestAdministrativeKillSuppressed(t *testing.T) {
 		t.Fatalf("administrative kill of place 2 leaked a death report for place %d", p)
 	case <-time.After(400 * time.Millisecond):
 	}
-	if _, err := tr.Send(0, 2, transport.ClassTask, 0, nil); err == nil {
-		t.Fatal("Send to killed place succeeded; want error")
+	if err := put(tr, 2); err == nil {
+		t.Fatal("Exec at killed place succeeded; want error")
 	}
 	// The surviving worker is untouched.
-	if _, err := tr.Send(0, 1, transport.ClassTask, 0, nil); err != nil {
-		t.Fatalf("Send to surviving place 1: %v", err)
+	if err := put(tr, 1); err != nil {
+		t.Fatalf("Exec at surviving place 1: %v", err)
 	}
 }
 
@@ -146,12 +157,12 @@ func TestGrow(t *testing.T) {
 	// New workers join asynchronously; poll briefly.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		_, err := tr.Send(0, 3, transport.ClassTask, 0, nil)
+		err := put(tr, 3)
 		if err == nil {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("grown place 3 never became sendable: %v", err)
+			t.Fatalf("grown place 3 never became operative: %v", err)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -191,8 +202,8 @@ func TestExternalWorkersJoin(t *testing.T) {
 	}
 	defer tr.Close()
 	for p := 1; p < 3; p++ {
-		if _, err := tr.Send(0, p, transport.ClassTask, 0, nil); err != nil {
-			t.Fatalf("Send(0->%d): %v", p, err)
+		if err := put(tr, p); err != nil {
+			t.Fatalf("put at place %d: %v", p, err)
 		}
 	}
 	if err := tr.Grow(1); err == nil {
@@ -201,13 +212,17 @@ func TestExternalWorkersJoin(t *testing.T) {
 }
 
 // TestRuntimeOverTCP drives the full apgas runtime over the tcp backend:
-// finish/async across places, an administrative kill surfacing
-// DeadPlaceError, and clean shutdown.
+// finish/async across places, a kernel dispatched into a worker, an
+// administrative kill surfacing DeadPlaceError, and clean shutdown. The
+// runtime's own messages put nothing on the wire: every frame the
+// coordinator counts is a kernel task, its result, or a heartbeat.
 func TestRuntimeOverTCP(t *testing.T) {
+	reg := obs.NewRegistry()
 	rt, err := apgas.New(
 		apgas.WithPlaces(4),
 		apgas.WithResilient(true),
-		apgas.WithTransport(tcp.New(fastHeartbeat())),
+		apgas.WithObs(reg),
+		apgas.WithTransport(tcp.New(fastHeartbeat(), tcp.WithObs(reg))),
 	)
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -237,6 +252,16 @@ func TestRuntimeOverTCP(t *testing.T) {
 			t.Fatalf("task never ran at place %d", i)
 		}
 	}
+	err = rt.Finish(func(ctx *apgas.Ctx) {
+		ctx.AsyncAt(rt.Place(1), func(c *apgas.Ctx) {
+			if _, err := c.ExecKernel(&kernel.Task{Name: kernel.PutName}); err != nil {
+				t.Errorf("ExecKernel at place 1: %v", err)
+			}
+		})
+	})
+	if err != nil {
+		t.Fatalf("Finish(ExecKernel): %v", err)
+	}
 
 	if err := rt.Kill(rt.Place(2)); err != nil {
 		t.Fatalf("Kill: %v", err)
@@ -247,6 +272,21 @@ func TestRuntimeOverTCP(t *testing.T) {
 	var dpe *apgas.DeadPlaceError
 	if !errors.As(err, &dpe) || dpe.Place.ID != 2 {
 		t.Fatalf("Finish after kill = %v, want DeadPlaceError{place 2}", err)
+	}
+
+	// Shutdown joins every reader, so the counters are final.
+	rt.Shutdown()
+	if got := reg.CounterValue("apgas.net.messages"); got == 0 {
+		t.Fatal("apgas.net.messages = 0; the runtime accounted no messages")
+	}
+	tasks := reg.CounterValue("transport.tcp.tasks")
+	if tasks != 1 {
+		t.Fatalf("transport.tcp.tasks = %d, want 1", tasks)
+	}
+	frames := reg.CounterValue("transport.tcp.frames")
+	beats := reg.CounterValue("transport.tcp.heartbeats")
+	if want := 2*tasks + beats; frames != want {
+		t.Fatalf("transport.tcp.frames = %d, want %d (%d tasks, as many results, %d heartbeats)", frames, want, tasks, beats)
 	}
 }
 

@@ -27,11 +27,14 @@ const maxFrameLen = 1 << 28 // 256 MiB
 // wireVersion is the frame-stream format version, carried in the hello
 // handshake. Version 2 introduced the persistent per-connection gob
 // codec: after the first frame the byte stream is meaningless to a
-// fresh-decoder peer, so the coordinator rejects a hello that does not
-// declare the same version instead of desyncing mid-run. (The hello
-// itself decodes under either scheme — a persistent encoder's first
-// message and a fresh encoder's only message are byte-identical.)
-const wireVersion = 2
+// fresh-decoder peer. Version 3 dropped the DATA frame (and the frame
+// fields only it used), which renumbers the later frame types. The
+// coordinator rejects a hello that does not declare the same version
+// instead of desyncing or misreading frames mid-run. (The hello itself
+// decodes under every version: a persistent encoder's first message and
+// a fresh encoder's only message are byte-identical, and the fields a
+// hello sets keep their names.)
+const wireVersion = 3
 
 // frameType discriminates the messages crossing a coordinator-worker
 // connection.
@@ -43,9 +46,6 @@ const (
 	fHello frameType = iota + 1
 	// fHeartbeat is the worker's periodic liveness beacon.
 	fHeartbeat
-	// fData carries one runtime message: class-tagged, with a declared
-	// size and (for checkpoint redundancy traffic) the real payload.
-	fData
 	// fKill tells a worker to fail-stop immediately (administrative kill).
 	fKill
 	// fBye tells a worker the run is over; it exits cleanly.
@@ -65,8 +65,6 @@ func (t frameType) String() string {
 		return "hello"
 	case fHeartbeat:
 		return "heartbeat"
-	case fData:
-		return "data"
 	case fKill:
 		return "kill"
 	case fBye:
@@ -81,22 +79,14 @@ func (t frameType) String() string {
 
 // frame is the unit of exchange on a coordinator-worker connection.
 type frame struct {
-	Type  frameType
-	From  int32
-	To    int32
-	Class uint8
+	Type frameType
+	From int32
+	To   int32
 	// Ver is the wire-format version, meaningful only on fHello.
 	Ver uint32
-	// Size is the declared payload volume of a data frame; most runtime
-	// traffic declares size without carrying bytes, so Size is
-	// accounting, not len(Payload).
-	Size int64
 	// Seq pairs an fResult with the fTask it answers; unique per
 	// coordinator run.
 	Seq uint64
-	// Payload is the real bytes, when the message carries them
-	// (checkpoint replica traffic).
-	Payload []byte
 	// Task is the kernel invocation of an fTask frame.
 	Task *kernel.Task
 	// Result is the kernel outcome of an fResult frame.
@@ -131,7 +121,7 @@ func (cr *chunkReader) ReadByte() (byte, error) {
 
 // frameConn wraps one side of a connection with buffered, length-prefixed
 // framing over a persistent gob codec. Writes are serialized by a mutex
-// so heartbeats, data, task and control frames from different goroutines
+// so heartbeats, task, result and control frames from different goroutines
 // interleave at frame granularity; reads are single-goroutine by
 // construction (one reader per connection). Because the codec state is
 // per-connection, frames are only decodable by the connection's own

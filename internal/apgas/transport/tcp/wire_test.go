@@ -20,8 +20,8 @@ func pipePair(t *testing.T) (*frameConn, *frameConn) {
 	return fa, fb
 }
 
-// testFrames is a representative mixed sequence: handshake, beats, data
-// with and without payload, a kernel task with puts, and its result.
+// testFrames is a representative mixed sequence: handshake, beats, a
+// kernel task with puts, and its result.
 func testFrames() []*frame {
 	task := &kernel.Task{
 		Name: "wiretest.noop",
@@ -33,8 +33,6 @@ func testFrames() []*frame {
 	return []*frame{
 		{Type: fHello, From: 1, Ver: wireVersion},
 		{Type: fHeartbeat, From: 1},
-		{Type: fData, From: 0, To: 1, Class: 2, Size: 4096},
-		{Type: fData, From: 1, To: 2, Class: 3, Size: 11, Payload: []byte("hello world")},
 		{Type: fTask, To: 1, Seq: 1, Task: task},
 		{Type: fResult, From: 1, Seq: 1, Result: &kernel.Result{F64: []float64{1, 2}}},
 		{Type: fHeartbeat, From: 1},
@@ -115,11 +113,8 @@ func TestWireRoundTripPreservesFrames(t *testing.T) {
 		if _, err := receiver.read(&f); err != nil {
 			t.Fatalf("read frame %d: %v", i, err)
 		}
-		if f.Type != want.Type || f.From != want.From || f.To != want.To || f.Size != want.Size || f.Seq != want.Seq {
+		if f.Type != want.Type || f.From != want.From || f.To != want.To || f.Ver != want.Ver || f.Seq != want.Seq {
 			t.Fatalf("frame %d decoded as %+v, want header of %+v", i, f, want)
-		}
-		if string(f.Payload) != string(want.Payload) {
-			t.Fatalf("frame %d payload %q, want %q", i, f.Payload, want.Payload)
 		}
 		if want.Task != nil {
 			if f.Task == nil || f.Task.Name != want.Task.Name || len(f.Task.Puts) != len(want.Task.Puts) {
@@ -135,8 +130,8 @@ func TestWireRoundTripPreservesFrames(t *testing.T) {
 	}
 }
 
-// TestPersistentCodecAmortizesDescriptors pins the reason wireVersion 2
-// exists: with a persistent per-connection codec, gob ships the frame
+// TestPersistentCodecAmortizesDescriptors pins the reason wire version 2
+// introduced the persistent codec: with a persistent per-connection codec, gob ships the frame
 // struct's transitive type descriptors (frame, kernel.Task, Ref, Blob,
 // Result) exactly once — on the connection's first frame — so every
 // later frame, whatever its shape, is descriptor-free and strictly
@@ -209,26 +204,30 @@ func TestHelloVersionRejected(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	// A version-1 peer: its hello decodes fine (first frames are
-	// byte-identical across schemes) but must be turned away.
-	conn, err := net.Dial("tcp", tr.Addr())
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	fc := newFrameConn(conn)
-	if _, err := fc.write(&frame{Type: fHello, From: 1, Ver: 1}); err != nil {
-		t.Fatalf("write stale hello: %v", err)
-	}
-	var f frame
-	if _, err := fc.read(&f); err == nil {
-		t.Fatalf("coordinator answered a stale-version hello with a %v frame; want closed connection", f.Type)
-	}
-	fc.close()
-	for reg.CounterValue("transport.tcp.hello_rejected") == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("hello rejection never counted")
+	// Version-1 and version-2 peers: their hellos decode fine (first
+	// frames are byte-identical across schemes, and a hello's fields
+	// kept their names) but must be turned away — a version-2 peer
+	// numbers the frame types after the dropped DATA frame differently.
+	for i, ver := range []uint32{1, 2} {
+		conn, err := net.Dial("tcp", tr.Addr())
+		if err != nil {
+			t.Fatalf("dial: %v", err)
 		}
-		time.Sleep(time.Millisecond)
+		fc := newFrameConn(conn)
+		if _, err := fc.write(&frame{Type: fHello, From: 1, Ver: ver}); err != nil {
+			t.Fatalf("write version-%d hello: %v", ver, err)
+		}
+		var f frame
+		if _, err := fc.read(&f); err == nil {
+			t.Fatalf("coordinator answered a version-%d hello with a %v frame; want closed connection", ver, f.Type)
+		}
+		fc.close()
+		for reg.CounterValue("transport.tcp.hello_rejected") != int64(i+1) {
+			if time.Now().After(deadline) {
+				t.Fatalf("version-%d hello rejection never counted", ver)
+			}
+			time.Sleep(time.Millisecond)
+		}
 	}
 
 	// A current-version peer joins fine and completes the expected set.

@@ -54,9 +54,9 @@ func MaybeWorker() {
 
 // ServeWorker runs the worker protocol for one place against the
 // coordinator at addr: handshake, heartbeat every interval, execute
-// kernel tasks and drain other frames until dismissed. It returns nil on
-// a clean dismissal (fBye, fKill, or coordinator EOF) and an error for
-// anything unexpected. `rgmlrun -serve-place` calls it directly for
+// kernel tasks until dismissed. It returns nil on a clean dismissal
+// (fBye, fKill, or coordinator EOF) and an error for anything
+// unexpected. `rgmlrun -serve-place` calls it directly for
 // externally-joined deployments.
 func ServeWorker(addr string, place int, interval, timeout time.Duration) error {
 	if place <= 0 {
@@ -115,10 +115,6 @@ func ServeWorker(addr string, place int, interval, timeout time.Duration) error 
 			return nil
 		case fTask:
 			tasks <- f
-		case fData:
-			// Traffic addressed to this place that carries no kernel:
-			// the wire realization of coordinator-resident task bodies.
-			// Draining it is the whole contract.
 		}
 	}
 }

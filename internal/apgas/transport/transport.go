@@ -1,47 +1,44 @@
 // Package transport defines the runtime's communication seam: the narrow
-// interface through which the emulated APGAS runtime moves place-crossing
-// messages and learns about place failures.
+// interface through which the emulated APGAS runtime learns about place
+// failures and, on a backend with worker processes, executes registered
+// kernels inside them.
 //
-// Everything the runtime knows about "the network" funnels through one
-// Transport value:
+// The seam carries no messages. Every place-crossing message is accounted
+// and charged by the runtime itself: it counts it per traffic Class and
+// sleeps the NetModel's modeled delay, identically on every backend. What
+// crosses the seam is:
 //
-//   - message send between places, tagged with a traffic Class so backends
-//     and the observability layer can account task spawns, resilient-finish
-//     bookkeeping, bulk data and checkpoint replica traffic separately;
 //   - place liveness: a backend with a real failure detector (heartbeats,
 //     connection loss) reports deaths through the Handler, which the
 //     runtime feeds into the exact same dead-place broadcast path used by
 //     injected (chaos) kills;
 //   - administrative control: fail-stopping a place's external body (Kill)
-//     and growing the place set elastically (Grow).
+//     and growing the place set elastically (Grow);
+//   - kernel execution, for a backend that also implements Executor.
 //
 // Two backends implement the seam:
 //
 //   - transport/local is the default in-process emulation: every place
-//     lives in the one OS process, Send charges the configured simulated
-//     delay, and no external failures exist. It is bit-identical to the
-//     pre-seam runtime: same NetModel accounting, same deterministic chaos
-//     kill fingerprints.
+//     lives in the one OS process, so there are no bodies to kill or grow
+//     and no failure detector that could perturb deterministic chaos
+//     schedules. It has no data plane.
 //
 //   - transport/tcp runs one place per OS process: place zero is the
 //     coordinator, every other place is paired with a worker process
 //     reached over a TCP connection carrying length-prefixed gob frames.
 //     A heartbeat failure detector with configurable interval and timeout
-//     turns real process death into Handler.PlaceDead events.
+//     turns real process death into Handler.PlaceDead events, and the
+//     workers execute registered kernels (Executor).
 //
 // The package deliberately speaks in plain ints for place IDs so that it
 // has no dependency on package apgas (which imports it).
 package transport
 
-import (
-	"errors"
-	"time"
+import "github.com/rgml/rgml/internal/apgas/kernel"
 
-	"github.com/rgml/rgml/internal/apgas/kernel"
-)
-
-// Class tags the traffic crossing the seam so backends and counters can
-// distinguish what kind of message a Send carries.
+// Class tags the runtime's place-crossing messages so the per-class
+// counters can tell task spawns, resilient-finish bookkeeping, bulk data
+// and checkpoint replica traffic apart.
 type Class uint8
 
 const (
@@ -56,7 +53,6 @@ const (
 	ClassData
 	// ClassSnapshot is checkpoint redundancy traffic: replica and erasure
 	// shard payloads moving between a snapshot's owner and its backups.
-	// Unlike the other classes it usually carries the real bytes.
 	ClassSnapshot
 
 	// NumClasses bounds the Class space for per-class counter arrays.
@@ -109,11 +105,11 @@ func (c DeathCause) String() string {
 }
 
 // Handler receives the transport's upcalls into the runtime. The runtime
-// installs it at Start, before any messages flow.
+// installs it at Start.
 type Handler struct {
 	// PlaceDead reports that the transport's failure detector declared a
 	// place dead. It may be invoked from arbitrary transport goroutines,
-	// concurrently with Sends; the runtime feeds it into the same
+	// concurrently with Execs; the runtime feeds it into the same
 	// dead-place broadcast path (store drop + ledger orphan termination)
 	// used by injected kills. Implementations dedupe: reporting an
 	// already-dead place is a no-op.
@@ -121,11 +117,11 @@ type Handler struct {
 }
 
 // Transport is the runtime's communication backend. The runtime owns
-// exactly one; all place-crossing traffic and all liveness information
-// flows through it.
+// exactly one; all liveness information flows through it.
 //
-// Implementations must be safe for concurrent use: Sends are issued from
-// many task goroutines at once, racing Kill, Grow and detector upcalls.
+// Implementations must be safe for concurrent use: Kill and Grow race
+// detector upcalls and, on an Executor, kernel dispatches from many task
+// goroutines at once.
 type Transport interface {
 	// Name identifies the backend ("local", "tcp") for logs and reports.
 	Name() string
@@ -135,18 +131,6 @@ type Transport interface {
 	// where worker bodies are spawned or awaited; a Start error means the
 	// runtime cannot be constructed.
 	Start(places int, h Handler) error
-
-	// Send moves one message of the given class from place from to place
-	// to, blocking the caller for the transfer's duration, and returns
-	// that duration (simulated for the local backend, measured wire time
-	// for a real one). size declares the payload volume for accounting;
-	// payload, when non-nil, is the real bytes to carry (checkpoint
-	// replica traffic supplies it; declared-size traffic leaves it nil).
-	// Intra-place sends (from == to) are free and return immediately.
-	// A Send to a dead or unknown place returns an error; callers treat
-	// that as "the failure detector will tell the runtime", not as a
-	// task-visible fault.
-	Send(from, to int, class Class, size int, payload []byte) (time.Duration, error)
 
 	// Kill administratively fail-stops the place's external body (worker
 	// process, connection). The runtime has already marked the place dead
@@ -166,23 +150,16 @@ type Transport interface {
 	Close() error
 }
 
-// ErrNoDataPlane is an Executor's answer when it cannot execute kernels
-// remotely: the runtime then keeps task bodies coordinator-resident,
-// which is always correct (registered kernels are pure).
-var ErrNoDataPlane = errors.New("transport: backend has no distributed data plane")
-
 // Executor is the optional distributed-data-plane capability: a backend
 // that can execute a registered kernel inside the place's own body
-// (worker process) implements it alongside Transport. The runtime probes
-// with Exec(nil) at construction — a nil task is a capability check,
-// answered (nil, nil) by a backend that dispatches remotely and
-// ErrNoDataPlane by one that does not — so the base Transport interface,
-// and every existing fake implementing it, stays unchanged.
+// (worker process) implements it alongside Transport. A backend has a
+// data plane if and only if it implements Executor; the runtime checks
+// with a type assertion at construction.
 type Executor interface {
 	// Exec runs t at the place t.Place names and blocks until the result
 	// returns. A transport-level failure (dead place, broken wire,
 	// backend closed) is the error; a kernel-level failure travels inside
-	// Result.Err. Callers treat either as "re-execute at the
-	// coordinator", never as a task-visible fault.
+	// Result.Err. Callers treat either as "run the closure body
+	// instead", never as a task-visible fault.
 	Exec(t *kernel.Task) (*kernel.Result, error)
 }

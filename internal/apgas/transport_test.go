@@ -11,22 +11,15 @@ import (
 	"github.com/rgml/rgml/internal/obs"
 )
 
-// fakeTransport records traffic and hands the runtime's Handler back to
-// the test, so transport-detected deaths can be injected directly.
+// fakeTransport records lifecycle calls and hands the runtime's Handler
+// back to the test, so transport-detected deaths can be injected
+// directly.
 type fakeTransport struct {
 	mu      sync.Mutex
 	handler transport.Handler
-	sends   []fakeSend
 	kills   []int
 	grown   int
 	closed  bool
-}
-
-type fakeSend struct {
-	from, to int
-	class    transport.Class
-	size     int
-	payload  []byte
 }
 
 func (f *fakeTransport) Name() string { return "fake" }
@@ -36,13 +29,6 @@ func (f *fakeTransport) Start(places int, h transport.Handler) error {
 	defer f.mu.Unlock()
 	f.handler = h
 	return nil
-}
-
-func (f *fakeTransport) Send(from, to int, class transport.Class, size int, payload []byte) (time.Duration, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.sends = append(f.sends, fakeSend{from, to, class, size, payload})
-	return 0, nil
 }
 
 func (f *fakeTransport) Kill(place int) error {
@@ -73,6 +59,74 @@ func (f *fakeTransport) placeDead(place int, cause transport.DeathCause) {
 	h.PlaceDead(place, cause)
 }
 
+// TestNetModelChargedByRuntime pins that the runtime, not the backend,
+// charges the NetModel: a place-crossing Transfer sleeps its modeled
+// delay and adds exactly that to apgas.net.simulated_ns, on the default
+// local backend and on any other. Only the Transfer carries bytes and
+// the latency is zero, so every other hop of the run is free.
+func TestNetModelChargedByRuntime(t *testing.T) {
+	const bytes = 2000
+	net := apgas.NetModel{BytePeriod: time.Microsecond}
+	for _, tp := range []transport.Transport{nil, &fakeTransport{}} {
+		reg := obs.NewRegistry()
+		opts := []apgas.Option{apgas.WithPlaces(3), apgas.WithNet(net), apgas.WithObs(reg)}
+		if tp != nil {
+			opts = append(opts, apgas.WithTransport(tp))
+		}
+		rt, err := apgas.New(opts...)
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		var took time.Duration
+		err = rt.Finish(func(ctx *apgas.Ctx) {
+			ctx.AsyncAt(rt.Place(1), func(c *apgas.Ctx) {
+				start := time.Now()
+				c.Transfer(rt.Place(2), bytes)
+				took = time.Since(start)
+			})
+		})
+		rt.Shutdown()
+		if err != nil {
+			t.Fatalf("%s: Finish: %v", rt.TransportName(), err)
+		}
+		want := bytes * time.Microsecond
+		if got := reg.CounterValue("apgas.net.simulated_ns"); got != int64(want) {
+			t.Fatalf("%s: apgas.net.simulated_ns = %d, want %d", rt.TransportName(), got, int64(want))
+		}
+		if took < want {
+			t.Fatalf("%s: Transfer returned after %v, want at least the modeled %v", rt.TransportName(), took, want)
+		}
+	}
+}
+
+// TestIntraPlaceHopFree pins the other half of the cost model: moves
+// within one place are neither charged nor counted, however large.
+func TestIntraPlaceHopFree(t *testing.T) {
+	reg := obs.NewRegistry()
+	rt, err := apgas.New(
+		apgas.WithPlaces(2),
+		apgas.WithNet(apgas.NetModel{Latency: 200 * time.Millisecond, BytePeriod: time.Second}),
+		apgas.WithObs(reg),
+	)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer rt.Shutdown()
+	err = rt.Finish(func(ctx *apgas.Ctx) {
+		ctx.Transfer(ctx.Here, 1<<20)
+		ctx.TransferSnapshot(ctx.Here, 1<<20)
+		ctx.At(ctx.Here, func(*apgas.Ctx) {})
+	})
+	if err != nil {
+		t.Fatalf("Finish: %v", err)
+	}
+	for _, name := range []string{"apgas.net.simulated_ns", "apgas.net.messages", "apgas.net.bytes"} {
+		if got := reg.CounterValue(name); got != 0 {
+			t.Fatalf("%s = %d after intra-place moves only, want 0", name, got)
+		}
+	}
+}
+
 func TestWithTransportNilRejected(t *testing.T) {
 	_, err := apgas.New(apgas.WithTransport(nil))
 	if !errors.Is(err, apgas.ErrBadOption) {
@@ -99,41 +153,42 @@ func TestTransportSeamTrafficAndLifecycle(t *testing.T) {
 	err = rt.Finish(func(ctx *apgas.Ctx) {
 		ctx.AsyncAt(rt.Place(1), func(c *apgas.Ctx) {
 			c.Transfer(rt.Place(2), 512)
-			c.TransferBytes(rt.Place(2), []byte("snap"))
+			c.TransferSnapshot(rt.Place(2), 4)
+			c.Transfer(c.Here, 1<<20) // intra-place: free and uncounted
 		})
 	})
 	if err != nil {
 		t.Fatalf("Finish: %v", err)
 	}
 
-	ft.mu.Lock()
-	var byClass [transport.NumClasses]int
-	var sawPayload bool
-	for _, s := range ft.sends {
-		byClass[s.class]++
-		if s.class == transport.ClassSnapshot && string(s.payload) == "snap" && s.size == 4 {
-			sawPayload = true
+	// The runtime accounts every place-crossing message per class on
+	// any backend; the seam itself carries none of them.
+	if got := reg.CounterValue("apgas.transport.task.messages"); got == 0 {
+		t.Fatal("no task-class messages accounted")
+	}
+	if got := reg.CounterValue("apgas.transport.control.messages"); got == 0 {
+		t.Fatal("no control-class (ledger) messages accounted")
+	}
+	for _, c := range []struct {
+		name string
+		want int64
+	}{
+		{"apgas.transport.data.messages", 1},
+		{"apgas.transport.data.bytes", 512},
+		{"apgas.transport.snapshot.messages", 1},
+		{"apgas.transport.snapshot.bytes", 4},
+		{"apgas.net.bytes", 516},
+	} {
+		if got := reg.CounterValue(c.name); got != c.want {
+			t.Fatalf("%s = %d, want %d", c.name, got, c.want)
 		}
 	}
-	ft.mu.Unlock()
-	if byClass[transport.ClassTask] == 0 {
-		t.Fatal("no ClassTask traffic crossed the seam")
+	var sum int64
+	for c := 0; c < transport.NumClasses; c++ {
+		sum += reg.CounterValue("apgas.transport." + transport.Class(c).String() + ".messages")
 	}
-	if byClass[transport.ClassControl] == 0 {
-		t.Fatal("no ClassControl (ledger) traffic crossed the seam")
-	}
-	if byClass[transport.ClassData] != 1 {
-		t.Fatalf("ClassData sends = %d, want 1", byClass[transport.ClassData])
-	}
-	if !sawPayload {
-		t.Fatal("TransferBytes payload did not reach the transport")
-	}
-	// Per-class obs counters mirror what crossed.
-	if got := reg.Counter("apgas.transport.data.bytes").Value(); got != 512 {
-		t.Fatalf("apgas.transport.data.bytes = %d, want 512", got)
-	}
-	if got := reg.Counter("apgas.transport.snapshot.bytes").Value(); got != 4 {
-		t.Fatalf("apgas.transport.snapshot.bytes = %d, want 4", got)
+	if got := reg.CounterValue("apgas.net.messages"); got != sum {
+		t.Fatalf("apgas.net.messages = %d, want the per-class sum %d", got, sum)
 	}
 
 	// Administrative kill reaches the backend after the runtime marked

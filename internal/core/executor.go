@@ -194,14 +194,9 @@ func newExecInstr(reg *obs.Registry) execInstr {
 	}
 }
 
-// NewExecutor builds an executor over rt's initial world, reserving
-// cfg.Spares places for ReplaceRedundant.
-//
-// Deprecated: this is a compatibility-only shim for external
-// Config-literal callers; nothing inside the repo uses it anymore. Use
-// New with functional options (WithCheckpointInterval, WithRestoreMode,
-// WithSpares, WithChaos, …).
-func NewExecutor(rt *apgas.Runtime, cfg Config) (*Executor, error) {
+// newExecutor validates cfg and builds an executor over rt's initial
+// world, reserving cfg.Spares places for ReplaceRedundant.
+func newExecutor(rt *apgas.Runtime, cfg Config) (*Executor, error) {
 	world := rt.World()
 	if cfg.Spares < 0 || cfg.Spares >= world.Size() {
 		return nil, fmt.Errorf("core: %d spares of %d places", cfg.Spares, world.Size())

@@ -80,12 +80,10 @@ func WithDelta(on bool) Option {
 }
 
 // New builds an executor over rt's initial world from functional options.
-// It is the preferred constructor; NewExecutor remains as the Config-based
-// shim for existing callers.
 func New(rt *apgas.Runtime, opts ...Option) (*Executor, error) {
 	var cfg Config
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	return NewExecutor(rt, cfg)
+	return newExecutor(rt, cfg)
 }

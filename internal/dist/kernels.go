@@ -120,9 +120,9 @@ func blockFanBody(per func(b *block.MatrixBlock, x la.Vector) (la.Vector, error)
 // through the registered-kernel data plane: ship x (once per version) and
 // any blocks the worker body does not hold yet, run kernel name there,
 // and decode its per-block partials into the place's scratch map under
-// key(id). Returns false on any failure so the caller can fall back to
-// the coordinator-resident block fan — the kernel purity contract makes
-// the two paths bit-identical.
+// key(id). Returns false on any failure so the caller runs its closure
+// block fan instead — the kernel purity contract makes the two paths
+// bit-identical.
 func (m *DistBlockMatrix) blockKernel(ctx *apgas.Ctx, name string, x *DupVector, xloc la.Vector, bs *block.BlockSet, part map[int]la.Vector, key func(id int) int) bool {
 	if bs.Len() == 0 {
 		return true
@@ -164,7 +164,7 @@ func (m *DistBlockMatrix) blockKernel(ctx *apgas.Ctx, name string, x *DupVector,
 // input): Sync republishes content under an unchanged version, which a
 // version-checked ship would wrongly skip. Failures are ignored — the
 // warm is a cache optimization, and a version mismatch later degrades to
-// a re-ship or coordinator fallback, never to wrong data.
+// a re-ship or the closure body, never to wrong data.
 func (v *DupVector) warm(c *apgas.Ctx, local la.Vector) {
 	if !c.KernelDispatch() {
 		return

@@ -4,12 +4,12 @@ import (
 	"errors"
 	"sync"
 	"testing"
-	"time"
 
 	"github.com/rgml/rgml/internal/apgas"
 	"github.com/rgml/rgml/internal/apgas/kernel"
 	"github.com/rgml/rgml/internal/apgas/transport"
 	"github.com/rgml/rgml/internal/la"
+	"github.com/rgml/rgml/internal/obs"
 )
 
 // execTransport is a minimal in-process transport with a data plane: it
@@ -27,17 +27,11 @@ type execTransport struct {
 
 func (e *execTransport) Name() string                                { return "exec-fake" }
 func (e *execTransport) Start(places int, h transport.Handler) error { return nil }
-func (e *execTransport) Send(from, to int, class transport.Class, size int, payload []byte) (time.Duration, error) {
-	return 0, nil
-}
-func (e *execTransport) Kill(place int) error { return nil }
-func (e *execTransport) Grow(n int) error     { return nil }
-func (e *execTransport) Close() error         { return nil }
+func (e *execTransport) Kill(place int) error                        { return nil }
+func (e *execTransport) Grow(n int) error                            { return nil }
+func (e *execTransport) Close() error                                { return nil }
 
 func (e *execTransport) Exec(t *kernel.Task) (*kernel.Result, error) {
-	if t == nil {
-		return nil, nil
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.stores == nil {
@@ -281,11 +275,12 @@ func TestDupVectorRestoreBumpsVersion(t *testing.T) {
 }
 
 // TestMultVecKernelSurvivesExecFailure verifies the degraded path: an
-// executor that fails every dispatch — the data plane is "up" (the probe
-// succeeds) but no kernel ever lands remotely — must leave MultVec
-// correct through silent coordinator-resident re-execution.
+// executor that fails every dispatch — the backend has a data plane but
+// no kernel ever lands remotely — must leave MultVec correct through the
+// closure block fan, with every failed dispatch counted.
 func TestMultVecKernelSurvivesExecFailure(t *testing.T) {
-	rt, err := apgas.New(apgas.WithPlaces(2), apgas.WithTransport(&failingExec{}))
+	reg := obs.NewRegistry()
+	rt, err := apgas.New(apgas.WithPlaces(2), apgas.WithTransport(&failingExec{}), apgas.WithObs(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,14 +318,18 @@ func TestMultVecKernelSurvivesExecFailure(t *testing.T) {
 	if rt.Stats().WorkerTasks != 0 {
 		t.Fatal("failing executor still counted worker tasks")
 	}
+	// One failed dispatch, at place 1: place 0 is the coordinator and
+	// never dispatches.
+	if got := reg.CounterValue("apgas.tasks.kernel_fallback"); got != 1 {
+		t.Fatalf("kernel_fallback = %d, want 1", got)
+	}
 }
 
 // TestNormalMultVecKernelWorkerPartials: over a data plane, NormalMultVec
 // phase 1 executes inside the worker bodies, each returning one
 // D-length partial per block (not the block's M·p rows), and the result
-// is bitwise-equal to the coordinator-resident paths — the closure path
-// of a backend without a data plane, and the kernel body re-run at the
-// coordinator after every dispatch fails.
+// is bitwise-equal to the closure path, both on a backend without a data
+// plane and as the fallback after every dispatch fails.
 func TestNormalMultVecKernelWorkerPartials(t *testing.T) {
 	const rows, cols, rbpp, places = 403, 13, 2, 4
 	local, _ := normalPairOn(t, newRT(t, places), rows, cols, rbpp)
@@ -363,7 +362,7 @@ func TestNormalMultVecKernelWorkerPartials(t *testing.T) {
 	t.Cleanup(rtF.Shutdown)
 	fallback, _ := normalPairOn(t, rtF, rows, cols, rbpp)
 	if !bitsEqualVec(local, fallback) {
-		t.Fatalf("coordinator fallback differs bitwise from the closure path:\n%v\n%v", fallback, local)
+		t.Fatalf("closure fallback differs bitwise from the closure path:\n%v\n%v", fallback, local)
 	}
 	if rtF.Stats().WorkerTasks != 0 {
 		t.Fatal("failing executor still counted worker tasks")
@@ -374,9 +373,6 @@ func TestNormalMultVecKernelWorkerPartials(t *testing.T) {
 type failingExec struct{ execTransport }
 
 func (f *failingExec) Exec(t *kernel.Task) (*kernel.Result, error) {
-	if t == nil {
-		return nil, nil
-	}
 	return nil, errDispatch
 }
 

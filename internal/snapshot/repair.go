@@ -165,7 +165,7 @@ func (s *Snapshot) repairReplicate(key, ownerIdx int) (bool, error) {
 				tgt := s.pg[gi]
 				s.instr.replicas.Inc()
 				s.instr.backupBytes.Add(int64(len(donor.data)))
-				c.TransferBytes(tgt, donor.data)
+				c.TransferSnapshot(tgt, len(donor.data))
 				c.AsyncAt(tgt, func(cc *apgas.Ctx) {
 					s.putReplica(cc, key, donor, ownerIdx)
 				})
@@ -309,7 +309,7 @@ func (s *Snapshot) repairErasure(key, ownerIdx int) (bool, error) {
 				tgt := s.pg[pl.gi]
 				s.instr.shards.Inc()
 				s.instr.backupBytes.Add(int64(len(pl.e.data)))
-				c.TransferBytes(tgt, pl.e.data)
+				c.TransferSnapshot(tgt, len(pl.e.data))
 				c.AsyncAt(tgt, func(cc *apgas.Ctx) {
 					s.putReplica(cc, key, pl.e, ownerIdx)
 				})

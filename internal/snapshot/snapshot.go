@@ -39,7 +39,6 @@ import (
 	"time"
 
 	"github.com/rgml/rgml/internal/apgas"
-	"github.com/rgml/rgml/internal/apgas/kernel"
 	"github.com/rgml/rgml/internal/codec"
 	"github.com/rgml/rgml/internal/obs"
 )
@@ -688,45 +687,11 @@ func (s *Snapshot) save(ctx *apgas.Ctx, key int, e *entry) {
 		next := s.pg[s.slotOf(idx, i)]
 		s.instr.replicas.Inc()
 		s.instr.backupBytes.Add(int64(len(e.data)))
-		if ctx.KernelDispatch() {
-			// Data-plane backend: the payload rides a forced kernel put into
-			// the replica place's worker body, so the spawn message carries
-			// no bytes. TransferSnapshot still charges the full declared
-			// size against the snapshot class — logical accounting, and
-			// with it cross-backend NetModel invariance, is unchanged.
-			ctx.TransferSnapshot(next, len(e.data))
-			ctx.AsyncAt(next, func(c *apgas.Ctx) {
-				s.warmReplica(c, key, e)
-				s.putReplica(c, key, e, idx)
-			})
-			continue
-		}
-		ctx.TransferBytes(next, e.data)
+		ctx.TransferSnapshot(next, len(e.data))
 		ctx.AsyncAt(next, func(c *apgas.Ctx) {
 			s.putReplica(c, key, e, idx)
 		})
 	}
-}
-
-// warmReplica force-installs a replica's bytes into the executing place's
-// worker body so later kernels (and a future worker-side restore) can
-// reference them without a re-ship. Each Snapshot has its own
-// PlaceLocalHandle — handle IDs are never reused — and each key is written
-// once per snapshot, so a constant version suffices. Only full saves warm:
-// delta-carried entries are already resident from the checkpoint that
-// first shipped them, and re-warming would forfeit the carry's byte
-// savings. Failures are ignored; the warm is purely a cache fill.
-func (s *Snapshot) warmReplica(c *apgas.Ctx, key int, e *entry) {
-	if !c.KernelDispatch() {
-		return
-	}
-	t := &kernel.Task{Name: kernel.PutName, Puts: []kernel.Blob{{
-		Handle: s.plh.Handle(),
-		Key:    int64(key),
-		Ver:    1,
-		Data:   e.data,
-	}}}
-	_, _ = c.ExecKernel(t)
 }
 
 // putReplica lands a replica (or shard) copy at the task's place,
@@ -813,7 +778,7 @@ func (s *Snapshot) Load(ctx *apgas.Ctx, key, ownerIdx int) ([]byte, error) {
 				if found {
 					// Charged (and counted) at fetch time; see the byte
 					// accounting note in the doc comment.
-					c.TransferBytes(origin, e.data)
+					c.TransferSnapshot(origin, len(e.data))
 					s.instr.loadBytes.Add(int64(len(e.data)))
 				}
 			})
